@@ -17,7 +17,6 @@ from .duals import (
     NON_ROBUST_SHORTCUT,
     CostVector,
     DualSolution,
-    ReferenceMeasure,
     SmoothingConfig,
     dual_objective,
     kl_dual_solve,

@@ -213,25 +213,26 @@ def cmd_radius(args, argv) -> int:
     return 0
 
 
-def _effective_method(args):
-    if args.method == "plugin":
-        return "exact", 0.0, 0.0
-    return args.method, args.epsilon_x, args.epsilon_c
+def _robust_table(args, dataset):
+    """The run's effective method and radii, and its per-pair robust cost table."""
+    method, eps_x, eps_c = (("exact", 0.0, 0.0) if args.method == "plugin"
+                            else (args.method, args.epsilon_x, args.epsilon_c))
+    cost_model = CostModel.identity(
+        dataset.xi_support, len(dataset.contexts), len(dataset.actions), dataset.y_max
+    )
+    table = robust_cost_table(
+        dataset, cost_model, eps_c, method=method, eta=args.eta, tol=args.tol,
+        impute_missing_ymax=args.impute_missing_ymax,
+    )
+    return method, eps_x, eps_c, table
 
 
 def cmd_ope(args, argv) -> int:
     start = time.monotonic()
     dataset, inputs = _load_bandit_data(args)
-    method, eps_x, eps_c = _effective_method(args)
-    cost_model = CostModel.identity(
-        dataset.xi_support, len(dataset.contexts), len(dataset.actions), dataset.y_max
-    )
     policy, extra = _load_policy(args.policy, len(dataset.contexts), len(dataset.actions))
     inputs.extend(extra)
-    table = robust_cost_table(
-        dataset, cost_model, eps_c, method=method, eta=args.eta, tol=args.tol,
-        impute_missing_ymax=args.impute_missing_ymax, n_jobs=args.threads,
-    )
+    method, eps_x, eps_c, table = _robust_table(args, dataset)
     context_dist = dataset.empirical_context_distribution()
     solution = evaluate_policy(
         policy, table, context_dist, eps_x, method=method, eta=args.eta, tol=args.tol
@@ -276,14 +277,7 @@ def _parse_grouping(spec: str, n_contexts: int):
 def cmd_opl(args, argv) -> int:
     start = time.monotonic()
     dataset, inputs = _load_bandit_data(args)
-    method, eps_x, eps_c = _effective_method(args)
-    cost_model = CostModel.identity(
-        dataset.xi_support, len(dataset.contexts), len(dataset.actions), dataset.y_max
-    )
-    table = robust_cost_table(
-        dataset, cost_model, eps_c, method=method, eta=args.eta, tol=args.tol,
-        impute_missing_ymax=args.impute_missing_ymax, n_jobs=args.threads,
-    )
+    method, eps_x, eps_c, table = _robust_table(args, dataset)
     context_dist = dataset.empirical_context_distribution()
     grouping, extra = _parse_grouping(args.grouping, len(dataset.contexts))
     inputs.extend(extra)
@@ -440,7 +434,6 @@ def _add_common(parser, seed_default=0):
     parser.add_argument("--out", default=None, help="output CSV path")
     parser.add_argument("--manifest-out", default=None,
                         help="manifest path (default: <out>.manifest.json)")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--tol", type=float, default=None,
                         help="dual solver value tolerance (default 1e-9 * max cost)")
 
@@ -536,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p.add_argument("--out", default=None, help=argparse.SUPPRESS)
     p.add_argument("--manifest-out", default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=cmd_synth)
 
     p = sub.add_parser("rerun", help="replay a command from its manifest")

@@ -13,10 +13,12 @@ that size. The entropy-smoothed variant replaces the inner max with a
 log-sum-exp at sharpness eta against the uniform reference measure, which
 keeps the value within log(support size)/eta of the exact one. The KL-ball
 dual and an exact-LP primal oracle complete the toolbox.
+
+One kernel solves every dual: a lockstep golden-section search over a batch
+of problems sharing a cost matrix; a single solve is a batch of one.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -40,6 +42,9 @@ _MACHINE_EPS = float(np.finfo(np.float64).eps)
 
 #: marker stored on solutions returned by the epsilon = 0 convention
 NON_ROBUST_SHORTCUT = "non_robust_epsilon_zero"
+
+#: cells of the (problems x atoms x candidates) temporary of one batched step
+_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -66,10 +71,6 @@ class CostVector:
     def f_max(self) -> float:
         return float(self.values.max())
 
-    @property
-    def f_min(self) -> float:
-        return float(self.values.min())
-
 
 @dataclass(frozen=True)
 class DualSolution:
@@ -82,16 +83,11 @@ class DualSolution:
     shortcut: str | None = None
 
 
-class ReferenceMeasure(enum.Enum):
-    UNIFORM_OVER_SUPPORT = "uniform_over_support"
-
-
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Sharpness and reference measure of the log-sum-exp smoothing."""
+    """Sharpness of the log-sum-exp smoothing (uniform reference measure)."""
 
     eta: float
-    reference: ReferenceMeasure = ReferenceMeasure.UNIFORM_OVER_SUPPORT
 
     def __post_init__(self):
         if not self.eta > 0:
@@ -114,63 +110,74 @@ def lse(values, eta: float) -> float:
     return top + math.log(float(np.mean(np.exp(eta * (v - top))))) / eta
 
 
-def golden_section_minimize(fn, lo: float, hi: float, value_tol: float,
-                            slope_bound: float, max_iter: int = 400):
-    """Minimize a unimodal function on [lo, hi] to within `value_tol` in value.
+def golden_section_minimize(fn, lo, hi, value_tol, slope_bound, max_iter: int = 400):
+    """Minimize P unimodal functions in lockstep, each to within its `value_tol`.
 
-    The bracket is shrunk until its width times `slope_bound` (a Lipschitz
-    bound for fn) drops below `value_tol`. Both endpoints are evaluated, so
-    the reported minimum never exceeds fn(lo) or fn(hi). Returns
-    (argmin, min, number of function evaluations).
+    `fn(index, x)` returns the values of problems `index` at points `x`; the
+    other arguments hold one entry per problem. A problem stops once width x
+    `slope_bound` (a Lipschitz bound) < `value_tol`, once width < 1e-15 x its
+    upper end, or after `max_iter` evaluations; each step evaluates only the
+    open problems. Both ends are evaluated, so no minimum exceeds fn(lo) or
+    fn(hi). Returns per-problem (argmin, min, number of evaluations).
     """
-    f_lo, f_hi = fn(lo), fn(hi)
-    best_x, best_f = (lo, f_lo) if f_lo <= f_hi else (hi, f_hi)
-    evals = 2
-    if hi - lo <= 0:
-        return lo, f_lo, evals
-    width_tol = value_tol / max(slope_bound, 1e-300)
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    evals += 2
-    while (b - a) > width_tol and (b - a) > 1e-15 * max(1.0, abs(b)) and evals < max_iter:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-        evals += 1
-        for x, fx in ((c, fc), (d, fd)):
-            if fx < best_f:
-                best_x, best_f = x, fx
-    return best_x, best_f, evals
+    lo, hi, value_tol, slope_bound = np.broadcast_arrays(
+        *np.atleast_1d(lo, hi, value_tol, slope_bound))
+    f_lo, f_hi = fn(np.arange(len(hi)), lo), fn(np.arange(len(hi)), hi)
+    best_x, best_f = np.where(f_lo <= f_hi, [lo, f_lo], [hi, f_hi])
+    evals = np.full(len(hi), 2, dtype=np.int64)
+    idx = np.flatnonzero(hi - lo > 0)
+    floor = np.maximum(value_tol / np.maximum(slope_bound, 1e-300), 1e-15)[idx]
+    a, b = lo[idx], hi[idx]
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = fn(idx, c), fn(idx, d)
+    count = 4  # every open problem has made the same number of evaluations
+    while True:
+        go = (b - a > np.maximum(floor, 1e-15 * np.abs(b))) & (count < max_iter)
+        if not go.all():
+            # moves drop only the worse interior point: the best one is c or d
+            done = idx[~go]
+            evals[done] = count
+            for point, value in ((c[~go], fc[~go]), (d[~go], fd[~go])):
+                better = value < best_f[done]
+                best_x[done[better]], best_f[done[better]] = point[better], value[better]
+            idx, floor, a, b, c, d, fc, fd = (v[go] for v in (idx, floor, a, b, c, d, fc, fd))
+        if not idx.size:
+            return best_x, best_f, evals
+        left = fc <= fd  # keep [a, d] and c, or [c, b] and d; evaluate one new point
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        step = _INV_PHI * (b - a)
+        x = np.where(left, b - step, a + step)
+        fx = fn(idx, x)
+        count += 1
+        c, fc = np.where(left, x, kept), np.where(left, fx, f_kept)
+        d, fd = np.where(left, kept, x), np.where(left, f_kept, fx)
 
 
 # -- matrix-level kernels ----------------------------------------------------
 # These operate on a precomputed cost matrix between the nominal atoms (rows)
-# and the candidate support (columns); the typed wrappers below and the
-# policy-evaluation / learning loops share them.
+# and the candidate support (columns), for one multiplier and value vector or
+# for k of each at once; the solvers and the learning loops share them.
 
-def exact_inner_values(lam: float, values: np.ndarray, cost_matrix: np.ndarray) -> np.ndarray:
+def _payoffs(lam, values: np.ndarray, cost_matrix: np.ndarray) -> np.ndarray:
+    # one temporary, updated in place: a fresh array costs more than the sums
+    z = np.multiply(np.asarray(lam, dtype=np.float64)[..., None, None], cost_matrix)
+    return np.subtract(values[..., None, :], z, out=z)
+
+
+def exact_inner_values(lam, values: np.ndarray, cost_matrix: np.ndarray) -> np.ndarray:
     """Per-source max over candidates of f(zeta) - lam * c(x, zeta)."""
-    return np.max(values[None, :] - lam * cost_matrix, axis=1)
+    return _payoffs(lam, values, cost_matrix).max(axis=-1)
 
 
-def smoothed_inner_values(lam: float, values: np.ndarray, cost_matrix: np.ndarray,
+def smoothed_inner_values(lam, values: np.ndarray, cost_matrix: np.ndarray,
                           eta: float) -> np.ndarray:
     """Per-source log-sum-exp (uniform reference) of f(zeta) - lam * c(x, zeta)."""
-    z = eta * (values[None, :] - lam * cost_matrix)
-    top = z.max(axis=1)
-    return top / eta + np.log(np.mean(np.exp(z - top[:, None]), axis=1)) / eta
-
-
-def wasserstein_dual_value(lam: float, weights: np.ndarray, values: np.ndarray,
-                           cost_matrix: np.ndarray, epsilon: float) -> float:
-    return float(epsilon * lam + weights @ exact_inner_values(lam, values, cost_matrix))
+    z = _payoffs(lam, values, cost_matrix)
+    z *= eta
+    top = z.max(axis=-1)
+    z -= top[..., None]
+    return top / eta + np.log(np.mean(np.exp(z, out=z), axis=-1)) / eta
 
 
 def smoothed_dual_value(lam: float, weights: np.ndarray, values: np.ndarray,
@@ -178,99 +185,115 @@ def smoothed_dual_value(lam: float, weights: np.ndarray, values: np.ndarray,
     return float(epsilon * lam + weights @ smoothed_inner_values(lam, values, cost_matrix, eta))
 
 
-def _default_tol(f_max: float) -> float:
-    return 1e-9 * f_max if f_max > 0 else 1e-12
+@dataclass(frozen=True)
+class DualBatch:
+    """Outcome of P 1-d dual minimizations; problem p searched [0, upper[p]]."""
+
+    lambda_star: np.ndarray
+    value: np.ndarray
+    iterations: np.ndarray
+    upper: np.ndarray
+    shortcut: str | None = None
+
+    def solution(self, p: int) -> DualSolution:
+        return DualSolution(float(self.lambda_star[p]), float(self.value[p]),
+                            int(self.iterations[p]), (0.0, float(self.upper[p])), self.shortcut)
 
 
-def _plugin_solution(expected: float, f_max: float) -> DualSolution:
-    cap = f_max / _MACHINE_EPS if f_max > 0 else 0.0
-    return DualSolution(
-        lambda_star=cap,
-        value=expected,
-        iterations=0,
-        bracket=(0.0, cap),
-        shortcut=NON_ROBUST_SHORTCUT,
-    )
+def _tolerances(epsilon, tol, f_max: np.ndarray) -> np.ndarray:
+    if epsilon < 0:
+        raise NegativeEpsilon(f"epsilon must be non-negative, got {epsilon}")
+    if tol is not None and not tol > 0:
+        raise InvalidTolerance(f"tolerance must be positive, got {tol}")
+    return np.where(f_max > 0, 1e-9 * f_max, 1e-12) if tol is None else np.full(f_max.shape, tol)
+
+
+def _plugin_batch(expected, f_max: np.ndarray) -> DualBatch:
+    cap = np.where(f_max > 0, f_max / _MACHINE_EPS, 0.0)
+    return DualBatch(cap, np.atleast_1d(np.asarray(expected, dtype=np.float64)),
+                     np.zeros(len(cap), dtype=np.int64), cap, NON_ROBUST_SHORTCUT)
+
+
+def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
+                          eta=None, plugin=None) -> DualBatch:
+    """Transport-ball duals of P problems that share one cost matrix.
+
+    Row p of `weights` (P, atoms) and `values` (P, candidates) is a problem;
+    `cost_matrix[i, j]` is the cost from atom i to candidate j; `eta=None` is
+    the exact dual, a positive `eta` the smoothed one. Problems are solved in
+    lockstep per block of at most `_BLOCK_CELLS` problem-atom-candidate cells,
+    without the atoms weightless in the whole block. `plugin` (epsilon = 0)
+    defaults to row-wise weights . values, right when atoms are the candidates.
+    """
+    weights, values, cost_matrix = (np.asarray(v, dtype=np.float64)
+                                    for v in (weights, values, cost_matrix))
+    f_max = values.max(axis=1)
+    tol = _tolerances(epsilon, tol, f_max)
+    if epsilon == 0:
+        return _plugin_batch(np.einsum("pi,pi->p", weights, values) if plugin is None
+                             else plugin, f_max)
+    # Solve with costs shifted to be >= 0. The objective is then <= f_max at 0
+    # and >= epsilon*lam - log(n)/eta (no log term when exact), each atom being
+    # a candidate at zero cost, so lam* <= (f_max + log(n)/eta) / epsilon.
+    shift = np.minimum(values.min(axis=1), 0.0)
+    shifted = values - shift[:, None]
+    slack = 0.0 if eta is None else math.log(values.shape[1]) / eta
+    hi = (shifted.max(axis=1) + slack) / epsilon
+    slope = max(epsilon, float(cost_matrix.max(initial=0.0)))
+    lam, value, evals = np.empty((3, len(values)))
+    step = max(1, _BLOCK_CELLS // max(cost_matrix.size, 1))
+    for block in (slice(s, s + step) for s in range(0, len(values), step)):
+        atoms = weights[block].any(axis=0)
+        w, v, cmat = weights[block][:, atoms], shifted[block], cost_matrix[atoms]
+
+        def objective(index, x):
+            inner = (exact_inner_values(x, v[index], cmat) if eta is None
+                     else smoothed_inner_values(x, v[index], cmat, eta))
+            return epsilon * x + np.einsum("ki,ki->k", w[index], inner)
+
+        lam[block], value[block], evals[block] = golden_section_minimize(
+            objective, 0.0, hi[block], tol[block], slope)
+    return DualBatch(lam, value + shift, evals.astype(np.int64), hi)
 
 
 def solve_transport_dual(weights, values, cost_matrix, epsilon, tol=None,
                          eta=None, plugin_value=None) -> DualSolution:
-    """Transport-ball dual on raw arrays.
+    """Transport-ball dual of one problem: see :func:`solve_transport_duals`."""
+    return solve_transport_duals(np.atleast_2d(weights), np.atleast_2d(values), cost_matrix,
+                                 epsilon, tol, eta, plugin_value).solution(0)
 
-    `cost_matrix[i, j]` is the ground cost from nominal atom i to candidate
-    j; `eta=None` solves the exact dual, a positive `eta` the smoothed one.
-    `plugin_value` is the epsilon = 0 result; when omitted it defaults to
-    weights @ values, which is correct whenever atoms and candidates are the
-    same points in the same order (the policy-evaluation case).
+
+def solve_kl_duals(weights, values, epsilon, tol=None) -> DualBatch:
+    """KL-ball duals of P problems: min over lam of eps*lam + lam*ln E[exp(f/lam)].
+
+    Rows of `weights` and `values` are problems over atoms of positive weight.
+    The objective is f_top (the observed max) at lam = 0 and, by Jensen, at
+    least eps*lam + E[f], so lam* lies in [0, (f_top - E[f]) / eps].
     """
-    if epsilon < 0:
-        raise NegativeEpsilon(f"epsilon must be non-negative, got {epsilon}")
-    values = np.asarray(values, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    f_max = float(values.max())
-    f_min = float(values.min())
-    if tol is None:
-        tol = _default_tol(f_max)
-    if not tol > 0:
-        raise InvalidTolerance(f"tolerance must be positive, got {tol}")
-    if epsilon == 0:
-        if plugin_value is None:
-            plugin_value = float(weights @ values)
-        return _plugin_solution(plugin_value, f_max)
-
-    # a negative cost floor shifts the objective by a constant, so solve on
-    # the shifted instance to keep the [0, f_max/epsilon] bracket valid
-    shift = min(f_min, 0.0)
-    shifted = values - shift
-    hi = float(shifted.max()) / epsilon
-    slope = max(epsilon, float(cost_matrix.max(initial=0.0)))
-    if eta is None:
-        def objective(lam):
-            return wasserstein_dual_value(lam, weights, shifted, cost_matrix, epsilon)
-    else:
-        def objective(lam):
-            return smoothed_dual_value(lam, weights, shifted, cost_matrix, epsilon, eta)
-    lam, val, evals = golden_section_minimize(objective, 0.0, hi, tol, slope)
-    return DualSolution(lambda_star=lam, value=val + shift, iterations=evals, bracket=(0.0, hi))
-
-
-def solve_kl_dual(weights: np.ndarray, values: np.ndarray, epsilon: float,
-                  tol: float | None = None) -> DualSolution:
-    """KL-ball dual on raw arrays: min over lam of eps*lam + lam*ln E[exp(f/lam)].
-
-    Only atoms with positive weight enter the expectation. The search runs in
-    log-space over [1e-6, 1e3] times the observed cost range; the bracket is
-    reported so clamping at either end is auditable. The lam -> 0 limit is
-    the observed maximum, the lam -> infinity limit the plain expectation.
-    """
-    if epsilon < 0:
-        raise NegativeEpsilon(f"epsilon must be non-negative, got {epsilon}")
+    weights, values = np.asarray(weights, dtype=np.float64), np.asarray(values, dtype=np.float64)
     seen = weights > 0
-    w, f = weights[seen], values[seen]
-    expected = float(w @ f)
-    f_top = float(f.max())
-    if tol is None:
-        tol = _default_tol(float(values.max()))
-    if not tol > 0:
-        raise InvalidTolerance(f"tolerance must be positive, got {tol}")
+    top = np.where(seen, values, -np.inf).max(axis=1)
+    expected = np.einsum("pi,pi->p", weights, values)
+    tol = _tolerances(epsilon, tol, values.max(axis=1))
     if epsilon == 0:
-        return _plugin_solution(expected, float(values.max()))
-    spread = f_top - float(f.min())
-    if spread == 0:
-        # flat costs: the objective is eps*lam + f_top, with infimum f_top
-        return DualSolution(lambda_star=0.0, value=f_top, iterations=0, bracket=(0.0, 0.0))
+        return _plugin_batch(expected, values.max(axis=1))
+    lifted = np.where(seen, values - top[:, None], 0.0)  # exp() stays in (0, 1]
+    hi = np.maximum(top - expected, 0.0) / epsilon
+    # the slope is eps - KL(tilted || nominal), within [eps - ln(1/w_min), eps]
+    slope = np.maximum(epsilon, -np.log(np.where(seen, weights, 1.0).min(axis=1)))
 
-    lo, hi = 1e-6 * spread, 1e3 * spread
+    def objective(index, lam):
+        positive = lam > 0
+        g = lifted[index] / np.where(positive, lam, 1.0)[:, None]
+        tilt = np.log1p(np.einsum("ki,ki->k", weights[index], np.expm1(g)))
+        return np.where(positive, epsilon * lam + top[index] + lam * tilt, top[index])
 
-    def objective(lam):
-        # shifted form keeps exp() in (0, 1]
-        return epsilon * lam + f_top + lam * math.log(float(w @ np.exp((f - f_top) / lam)))
+    return DualBatch(*golden_section_minimize(objective, 0.0, hi, tol, slope), hi)
 
-    slope_u = epsilon * hi + spread  # |d/du obj(e^u)| <= eps*lam + observed range
-    u, val, evals = golden_section_minimize(
-        lambda u: objective(math.exp(u)), math.log(lo), math.log(hi), tol, slope_u
-    )
-    return DualSolution(lambda_star=math.exp(u), value=val, iterations=evals, bracket=(lo, hi))
+
+def solve_kl_dual(weights, values, epsilon: float, tol: float | None = None) -> DualSolution:
+    """KL-ball dual of one problem: see :func:`solve_kl_duals`."""
+    return solve_kl_duals(np.atleast_2d(weights), np.atleast_2d(values), epsilon, tol).solution(0)
 
 
 # -- typed operations ----------------------------------------------------------
@@ -289,7 +312,7 @@ def dual_objective(lam: float, p0: DiscreteDistribution, f: CostVector,
     if epsilon < 0:
         raise NegativeEpsilon(f"epsilon must be non-negative, got {epsilon}")
     cmat = cost.pairwise(p0.support.points, f.support.points)
-    return wasserstein_dual_value(lam, p0.weights, f.values, cmat, epsilon)
+    return float(epsilon * lam + p0.weights @ exact_inner_values(lam, f.values, cmat))
 
 
 def wasserstein_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: float,
@@ -317,7 +340,7 @@ def regularized_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: flo
     The inner maximum becomes a log-sum-exp at sharpness `smoothing.eta`
     with uniform reference weights over the candidate support, so the value
     stays within log(|support|)/eta of the exact dual while being smooth in
-    every argument. The same [0, f_max/epsilon] bracket is searched.
+    every argument. The bracket widens to [0, (f_max + log(|support|)/eta)/epsilon].
     """
     if smoothing is None:
         raise NonPositiveEta("a SmoothingConfig with positive eta is required")

@@ -1,22 +1,22 @@
 """Two-step distributionally robust policy evaluation.
 
-Step one solves, independently for every (context, action) pair, the robust
-expected cost of that pair over a radius-`epsilon_c` ball around the pair's
-empirical cost-observation distribution. Step two mixes those per-pair costs
-through the target policy into a per-context cost and solves one more robust
-problem over a radius-`epsilon_x` ball around the empirical context
-distribution. Both steps use the same family of 1-d dual solvers (exact,
-entropy-smoothed, or KL).
+Step one bounds, for every (context, action) pair, the robust expected cost
+of that pair over a radius-`epsilon_c` ball around the pair's empirical
+cost-observation distribution, all pairs in one batched dual solve. Step two
+mixes those per-pair costs through the target policy into a per-context cost
+and solves one more robust problem over a radius-`epsilon_x` ball around the
+empirical context distribution. Both steps use the same 1-d dual kernel
+(exact, entropy-smoothed, or KL).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import DiscreteDistribution, SupportSet
-from .duals import DualSolution, solve_kl_dual, solve_transport_dual
+from .duals import (DualBatch, DualSolution, solve_kl_dual, solve_kl_duals,
+                    solve_transport_dual, solve_transport_duals)
 from .errors import (
     EmptyExperiment,
     IncompleteTable,
@@ -120,33 +120,32 @@ class RobustCostTable:
 def solve_shared_support(weights: np.ndarray, values: np.ndarray,
                          cost_matrix: np.ndarray, epsilon: float, method: str,
                          eta: float | None = None,
-                         tol: float | None = None) -> DualSolution:
-    """Dispatch to the chosen dual solver; atoms and candidates coincide."""
-    if method == "exact":
-        return solve_transport_dual(weights, values, cost_matrix, epsilon, tol)
-    if method == "regularized":
-        if eta is None or not eta > 0:
-            raise NonPositiveEta("method 'regularized' needs a positive eta")
-        return solve_transport_dual(weights, values, cost_matrix, epsilon, tol, eta=eta)
+                         tol: float | None = None) -> DualSolution | DualBatch:
+    """Dispatch to the chosen dual solver; atoms and candidates coincide.
+    1-d `weights` and `values` give a DualSolution, (P, n) arrays a DualBatch."""
+    batch = np.ndim(values) == 2
+    if method == "regularized" and (eta is None or not eta > 0):
+        raise NonPositiveEta("method 'regularized' needs a positive eta")
+    if method in ("exact", "regularized"):
+        solve = solve_transport_duals if batch else solve_transport_dual
+        return solve(weights, values, cost_matrix, epsilon, tol,
+                     eta=eta if method == "regularized" else None)
     if method == "kl":
-        return solve_kl_dual(np.asarray(weights, float), np.asarray(values, float),
-                             epsilon, tol)
+        return (solve_kl_duals if batch else solve_kl_dual)(weights, values, epsilon, tol)
     raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def robust_cost_table(dataset, cost_model: CostModel, epsilon_c: float,
                       method: str = "exact", eta: float | None = None,
                       tol: float | None = None, impute_missing_ymax: bool = False,
-                      ground_cost: GroundCost = GroundCost.SQUARED_EUCLIDEAN,
-                      n_jobs: int = 1) -> RobustCostTable:
+                      ground_cost: GroundCost = GroundCost.SQUARED_EUCLIDEAN) -> RobustCostTable:
     """Robust per-pair cost estimates from logged data.
 
     For every (context, action) pair the pair's observed xi samples become an
     empirical distribution over the full known observation support, and the
     chosen dual solver bounds the pair's expected cost over the
-    radius-`epsilon_c` ball. Pairs are independent, so they may be solved
-    concurrently (`n_jobs` threads); results are merged by index and are
-    identical for any thread count.
+    radius-`epsilon_c` ball. The pairs are independent problems on one shared
+    cost matrix, so all logged pairs go to the solver as a single batch.
 
     Pairs without any logged sample raise :class:`MissingPair` listing every
     offender, unless `impute_missing_ymax` opts into the conservative
@@ -166,22 +165,10 @@ def robust_cost_table(dataset, cost_model: CostModel, epsilon_c: float,
 
     m_hat = np.full((n_x, n_a), cost_model.y_max, dtype=np.float64)
     xi_costs = ground_cost.pairwise(cost_model.xi_support.points, cost_model.xi_support.points)
-
-    def solve_pair(pair):
-        x, a = pair
-        weights = counts[x, a].astype(np.float64) / pair_totals[x, a]
-        return solve_shared_support(
-            weights, cost_model.y[x, a], xi_costs, epsilon_c, method, eta, tol
-        ).value
-
-    pairs = [(x, a) for x in range(n_x) for a in range(n_a) if pair_totals[x, a] > 0]
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(solve_pair, pairs))
-    else:
-        results = [solve_pair(p) for p in pairs]
-    for (x, a), value in zip(pairs, results):
-        m_hat[x, a] = value
+    logged = pair_totals > 0
+    m_hat[logged] = solve_shared_support(
+        counts[logged] / pair_totals[logged][:, None], cost_model.y[logged], xi_costs,
+        epsilon_c, method, eta, tol).value
     return RobustCostTable(m_hat, method=method, epsilon_c=epsilon_c, eta=eta)
 
 
@@ -285,18 +272,13 @@ def true_robust_table(config, epsilon_c: float, method: str = "exact",
                       eta: float | None = None, tol: float | None = None,
                       ground_cost: GroundCost = GroundCost.SQUARED_EUCLIDEAN) -> RobustCostTable:
     """Robust cost table computed from a generator's true xi distributions."""
-    n_x = len(config.context_dist.support)
-    n_a = len(config.xi_dists[0])
-    m_hat = np.empty((n_x, n_a))
-    xi_costs = ground_cost.pairwise(
-        config.cost_model.xi_support.points, config.cost_model.xi_support.points
-    )
-    for x in range(n_x):
-        for a in range(n_a):
-            dist = config.xi_dists[x][a]
-            if not dist.support.matches(config.cost_model.xi_support):
-                raise ValidationError("xi distributions must live on the cost model support")
-            m_hat[x, a] = solve_shared_support(
-                dist.weights, config.cost_model.y[x, a], xi_costs, epsilon_c, method, eta, tol
-            ).value
+    n_x, n_a = len(config.context_dist.support), len(config.xi_dists[0])
+    dists = [dist for row in config.xi_dists for dist in row]
+    if not all(dist.support.matches(config.cost_model.xi_support) for dist in dists):
+        raise ValidationError("xi distributions must live on the cost model support")
+    xi = config.cost_model.xi_support.points
+    m_hat = solve_shared_support(
+        np.array([dist.weights for dist in dists]), config.cost_model.y.reshape(n_x * n_a, -1),
+        ground_cost.pairwise(xi, xi), epsilon_c, method, eta, tol,
+    ).value.reshape(n_x, n_a)
     return RobustCostTable(m_hat, method=method, epsilon_c=epsilon_c, eta=eta)

@@ -26,7 +26,7 @@ from .errors import (
     UnknownContext,
     ValidationError,
 )
-from .ope import Policy, RobustCostTable, solve_shared_support
+from .ope import RobustCostTable, solve_shared_support
 from .transport import GroundCost
 
 
@@ -105,10 +105,6 @@ def policy_probs(params: PolicyParams, context_index: int) -> np.ndarray:
     if not 0 <= context_index < len(params.grouping):
         raise UnknownContext(f"context index {context_index} outside the grouping map")
     return policy_matrix(params)[context_index]
-
-
-def as_policy(params: PolicyParams) -> Policy:
-    return Policy(policy_matrix(params))
 
 
 def _check_table(params: PolicyParams, table: RobustCostTable):

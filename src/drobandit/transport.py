@@ -14,9 +14,11 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .distributions import DiscreteDistribution, SupportSet, empirical_distribution, _as_points
-from .errors import DegenerateInput, NumericalError, TooFewSamples
+from .errors import DegenerateInput, InstanceTooLarge, NumericalError, TooFewSamples
 
 MARGINAL_ATOL = 1e-9
+#: largest cost matrix (rows x columns) :meth:`GroundCost.pairwise` builds
+MAX_PAIRWISE_CELLS = 25_000_000
 
 
 class GroundCost(enum.Enum):
@@ -25,11 +27,17 @@ class GroundCost(enum.Enum):
     SQUARED_EUCLIDEAN = "squared_euclidean"
 
     def pairwise(self, a, b) -> np.ndarray:
-        """Cost matrix between two point sets, shape (len(a), len(b))."""
+        """Cost matrix between two point sets, shape (len(a), len(b)), of at
+        most :data:`MAX_PAIRWISE_CELLS` entries (else :class:`InstanceTooLarge`)."""
         pa, pb = _as_points(a), _as_points(b)
+        if len(pa) * len(pb) > MAX_PAIRWISE_CELLS:
+            raise InstanceTooLarge(f"{len(pa)} x {len(pb)} costs exceed {MAX_PAIRWISE_CELLS}")
         if self is GroundCost.SQUARED_EUCLIDEAN:
-            diff = pa[:, None, :] - pb[None, :, :]
-            return np.einsum("ijk,ijk->ij", diff, diff)
+            out = np.zeros((len(pa), len(pb)))
+            for k in range(pa.shape[1]):  # per axis: no (len(a), len(b), dim) array
+                diff = np.subtract.outer(pa[:, k], pb[:, k])
+                out += np.multiply(diff, diff, out=diff)
+            return out
         raise NotImplementedError(self)
 
 

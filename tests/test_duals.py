@@ -170,6 +170,33 @@ def test_regularized_single_point_support():
     assert sol.lambda_star == pytest.approx(0.0, abs=1e-9)
 
 
+def test_regularized_bracket_holds_the_minimizer():
+    # regression: lam* = 12.98 lies beyond the exact dual's f_max/eps = 8.9,
+    # where the search once stopped at -0.5947
+    rng = np.random.default_rng(0)
+    support = SupportSet(rng.random((20, 2)))
+    f = CostVector(support, rng.random(20))
+    p0 = make_distribution(support, np.full(20, 0.05))
+    sol = regularized_dual_solve(p0, f, 0.1, smoothing=SmoothingConfig(0.5))
+
+    cmat = ((support.points[:, None, :] - support.points[None, :, :]) ** 2).sum(axis=2)
+
+    def objective(lam):  # (k,) multipliers -> (k,) smoothed dual values
+        z = 0.5 * (f.values[None, None, :] - lam[:, None, None] * cmat[None])
+        top = z.max(axis=2)
+        inner = (top + np.log(np.exp(z - top[..., None]).mean(axis=2))) / 0.5
+        return 0.1 * lam + inner @ p0.weights
+
+    grid = np.linspace(0.0, 100.0, 20001)
+    for _ in range(3):  # convex: zoom in on the best grid cell
+        k = int(np.argmin(objective(grid)))
+        grid = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], 2001)
+    reference = float(objective(grid).min())
+    assert reference == pytest.approx(-0.66286, abs=1e-5)
+    assert sol.value == pytest.approx(reference, abs=1e-9)
+    assert sol.lambda_star < sol.bracket[1] * (1 - 1e-6)
+
+
 def test_regularized_requires_eta():
     with pytest.raises(NonPositiveEta):
         SmoothingConfig(0.0)
@@ -196,6 +223,25 @@ def test_kl_derived_instance_frozen_grid_value():
     sol = kl_dual_solve(UNIFORM01, STEP_COST, 0.1)
     assert 0.5 < sol.value < 1.0
     assert sol.value == pytest.approx(0.719794626161, abs=1e-6)
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-3])
+def test_kl_small_radius_coin_matches_dense_search(eps):
+    # lam* ~ sqrt(Var / (2 eps)) outgrows any fixed bracket as eps -> 0; at
+    # eps = 1e-9 a [1e-6, 1e3] bracket once pinned lam* at 1000 (0.5001260)
+    w, f = np.array([0.5, 0.5]), np.array([0.0, 1.0])
+
+    def objective(lam):
+        return eps * lam + 1.0 + lam * np.log(np.exp((f[None, :] - 1.0) / lam[:, None]) @ w)
+
+    grid = np.logspace(-3.0, 15.0, 20001)
+    for _ in range(3):
+        k = int(np.argmin(objective(grid)))
+        grid = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], 2001)
+    reference = float(objective(grid).min())
+    sol = kl_dual_solve(UNIFORM01, STEP_COST, eps)
+    assert sol.value == pytest.approx(reference, abs=1e-9)
+    assert sol.lambda_star < sol.bracket[1] * (1 - 1e-6)
 
 
 # -- invariants -----------------------------------------------------------------------

@@ -1,9 +1,14 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drobandit import duals
 from drobandit import (
+    GroundCost,
     BanditDataset,
     CostModel,
     CostVector,
@@ -19,6 +24,7 @@ from drobandit import (
     uniform_distribution,
 )
 from drobandit.data import canonical_rate_config
+from drobandit.ope import METHODS, solve_shared_support
 from drobandit.errors import (
     EmptyExperiment,
     MissingPair,
@@ -105,12 +111,54 @@ def test_table_missing_pair_lists_offenders():
     assert table.m_hat[1, 1] == cost_model.y_max
 
 
-def test_table_deterministic_across_worker_counts():
-    rng = np.random.default_rng(5)
-    dataset, cost_model = random_covered_dataset(rng, n_contexts=4, n_actions=3)
-    sequential = robust_cost_table(dataset, cost_model, 0.2, n_jobs=1)
-    threaded = robust_cost_table(dataset, cost_model, 0.2, n_jobs=4)
-    assert np.array_equal(sequential.m_hat, threaded.m_hat)
+# the batched solver against one solve per problem: both land within tol
+# of the same minimum; small block sizes put block boundaries inside the batch
+BATCH_TOL = 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), method=st.sampled_from(METHODS),
+       epsilon=st.sampled_from([0.0, 1e-3, 0.1, 2.0]), eta=st.sampled_from([0.5, 20.0]))
+def test_batched_duals_match_single_solves(data, method, epsilon, eta):
+    n = data.draw(st.integers(1, 5), label="atoms")
+    p = data.draw(st.integers(1, 9), label="problems")
+    rows = lambda elements: st.lists(  # noqa: E731
+        st.lists(elements, min_size=n, max_size=n), min_size=p, max_size=p)
+    # few levels, some negative, so costs tie; zero weights drop atoms
+    values = np.array(data.draw(rows(st.sampled_from([-1.0, -0.25, 0.0, 0.5, 1.0]))))
+    raw = np.array(data.draw(rows(st.sampled_from([0.0, 0.0, 1.0, 2.5]))))
+    raw[:, 0] += raw.sum(axis=1) == 0
+    weights = raw / raw.sum(axis=1, keepdims=True)
+    points = data.draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n), label="points")
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(points, points)
+    block = data.draw(st.sampled_from([duals._BLOCK_CELLS, n * n, 2 * n * n + 1]), label="block")
+    with patch.object(duals, "_BLOCK_CELLS", block):
+        batch = solve_shared_support(weights, values, cmat, epsilon, method, eta, BATCH_TOL)
+    for k in range(p):
+        single = solve_shared_support(weights[k], values[k], cmat, epsilon, method, eta, BATCH_TOL)
+        assert abs(batch.value[k] - single.value) <= BATCH_TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), method=st.sampled_from(METHODS),
+       epsilon=st.sampled_from([0.0, 0.05, 0.5]), small_blocks=st.booleans())
+def test_batched_table_matches_per_pair_solves(seed, method, epsilon, small_blocks):
+    rng = np.random.default_rng(seed)
+    drawn, cost_model = random_covered_dataset(rng, n_contexts=4, n_actions=3, n_xi=5, extra=12)
+    # per-pair costs rounded to halves, so values tie within and across pairs
+    tied = CostModel(cost_model.xi_support, np.round(cost_model.y * 2) / 2, y_max=1.0)
+    dataset = build_dataset(drawn.context_idx, drawn.action_idx, drawn.xi_idx,
+                            drawn.contexts, 3, tied)
+    with patch.object(duals, "_BLOCK_CELLS", 50 if small_blocks else duals._BLOCK_CELLS):
+        table = robust_cost_table(dataset, tied, epsilon, method=method, eta=10.0)
+    points = tied.xi_support.points
+    xi_costs = GroundCost.SQUARED_EUCLIDEAN.pairwise(points, points)
+    for x in range(4):
+        for a in range(3):
+            mask = (dataset.context_idx == x) & (dataset.action_idx == a)
+            weights = np.bincount(dataset.xi_idx[mask], minlength=5) / mask.sum()
+            single = solve_shared_support(weights, tied.y[x, a], xi_costs, epsilon, method, 10.0)
+            assert abs(table.m_hat[x, a] - single.value) <= BATCH_TOL
 
 
 # -- policy evaluation -------------------------------------------------------------

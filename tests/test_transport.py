@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from drobandit import (
     split_radius_estimate,
     wasserstein_distance,
 )
-from drobandit.errors import DegenerateInput, TooFewSamples
+from drobandit import transport
+from drobandit.errors import DegenerateInput, InstanceTooLarge, TooFewSamples
 
 from oracles import exact_transport_value
 
@@ -28,6 +30,23 @@ def test_ground_cost_properties():
     assert np.allclose(cmat, cmat.T)
     assert np.all(cmat >= 0.0)
     assert cmat[0, 1] == pytest.approx((0 - 2) ** 2 + (1 + 1) ** 2)
+    # against the (n, m, dim) broadcast formula, up to summation order
+    a, b = np.random.default_rng(3).normal(size=(2, 40, 3))
+    reference = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    assert np.allclose(cost.pairwise(a, b), reference, rtol=1e-15, atol=0.0)
+
+
+def test_pairwise_refuses_oversized_matrix_before_allocating():
+    rows = np.zeros((transport.MAX_PAIRWISE_CELLS // 1000 + 1, 2))
+    cols = np.zeros((1000, 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceTooLarge):
+            GroundCost.SQUARED_EUCLIDEAN.pairwise(rows, cols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_identical_distributions_have_zero_distance():
