@@ -180,11 +180,6 @@ def smoothed_inner_values(lam, values: np.ndarray, cost_matrix: np.ndarray,
     return top / eta + np.log(np.mean(np.exp(z, out=z), axis=-1)) / eta
 
 
-def smoothed_dual_value(lam: float, weights: np.ndarray, values: np.ndarray,
-                        cost_matrix: np.ndarray, epsilon: float, eta: float) -> float:
-    return float(epsilon * lam + weights @ smoothed_inner_values(lam, values, cost_matrix, eta))
-
-
 @dataclass(frozen=True)
 class DualBatch:
     """Outcome of P 1-d dual minimizations; problem p searched [0, upper[p]]."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, SupportSet
+from .distributions import WEIGHT_SUM_ATOL, DiscreteDistribution, SupportSet
 from .duals import (DualBatch, DualSolution, solve_kl_dual, solve_kl_duals,
                     solve_transport_dual, solve_transport_duals)
 from .errors import (
@@ -32,18 +32,28 @@ METHODS = ("exact", "regularized", "kl")
 
 @dataclass(frozen=True)
 class Policy:
-    """Action probabilities per context index, rows summing to one."""
+    """Action probabilities per context index, rows summing to one.
+
+    Rows must sum to one within 1e-9, as in
+    :func:`~drobandit.distributions.make_distribution`; a row off by more than
+    rounding (1e-12), such as one read from JSON rounded to a few decimals,
+    has its drift divided out. Other rows are kept bit for bit.
+    """
 
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
+        p = np.array(self.probs, dtype=np.float64)
         if p.ndim != 2:
             raise ValidationError("policy probabilities must be a (contexts, actions) matrix")
-        if np.any(p < 0) or np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-12:
+        sums = p.sum(axis=1)
+        drift = np.abs(sums - 1.0)
+        if np.any(p < 0) or np.max(drift) > WEIGHT_SUM_ATOL:
             raise ValidationError("each policy row must be a probability vector")
+        off = drift > 1e-12
+        p[off] /= sums[off, None]
+        p.setflags(write=False)
+        object.__setattr__(self, "probs", p)
 
     @property
     def n_contexts(self) -> int:

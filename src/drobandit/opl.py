@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, SupportSet
-from .duals import smoothed_dual_value
+from .duals import _BLOCK_CELLS, smoothed_inner_values
 from .errors import (
     DimensionTooLarge,
     IncompleteTable,
@@ -87,10 +87,14 @@ class PolicyParams:
         return self.theta.reshape(self.n_groups, self.n_actions - 1)
 
 
-def policy_matrix(params: PolicyParams) -> np.ndarray:
-    """Action probabilities for every context, shape (n_contexts, n_actions)."""
-    lead = params.theta_by_group[params.grouping]
-    if params.parameterization is Parameterization.GROUP_PROB_CLAMP:
+def _slots(groups: np.ndarray, n_actions: int) -> np.ndarray:
+    """Theta indices of each row's leading parameters, shape (rows, n_actions - 1)."""
+    return groups[:, None] * (n_actions - 1) + np.arange(n_actions - 1)
+
+
+def _row_probs(lead: np.ndarray, parameterization: Parameterization) -> np.ndarray:
+    """Action probabilities of rows with leading parameters `lead`, (rows, k - 1) -> (rows, k)."""
+    if parameterization is Parameterization.GROUP_PROB_CLAMP:
         lead = np.clip(lead, 0.0, 1.0)
         rest = np.clip(1.0 - lead.sum(axis=1, keepdims=True), 0.0, None)
         return np.hstack([lead, rest])
@@ -100,11 +104,40 @@ def policy_matrix(params: PolicyParams) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def policy_probs(params: PolicyParams, context_index: int) -> np.ndarray:
-    """Action probabilities at one context."""
+def _policy_rows(theta: np.ndarray, slots: np.ndarray, m: np.ndarray,
+                 parameterization: Parameterization):
+    """Expected robust cost of the policy at a set of contexts, with its gradient.
+
+    `slots` are the contexts' theta indices (see :func:`_slots`) and `m` their
+    (rows, n_actions) robust costs. Returns (costs, grads), grads of shape
+    (rows, dim(theta)) and zero outside each context's group: linear for the
+    clamp parameterization, softmax-weighted advantages for the logit one.
+    Every row is computed on its own, so any subset of contexts gives the same
+    bits as the full set.
+    """
+    k = m.shape[1]
+    probs = _row_probs(theta[slots], parameterization)
+    costs = np.einsum("ca,ca->c", probs, m)
+    if parameterization is Parameterization.GROUP_PROB_CLAMP:
+        lead_grad = m[:, : k - 1] - m[:, k - 1 :]
+    else:
+        lead_grad = probs[:, : k - 1] * (m[:, : k - 1] - costs[:, None])
+    grads = np.zeros((len(m), theta.size))
+    np.put_along_axis(grads, slots, lead_grad, axis=1)
+    return costs, grads
+
+
+def _check_context(params: PolicyParams, context_index: int):
     if not 0 <= context_index < len(params.grouping):
         raise UnknownContext(f"context index {context_index} outside the grouping map")
-    return policy_matrix(params)[context_index]
+
+
+def policy_probs(params: PolicyParams, context_index: int) -> np.ndarray:
+    """Action probabilities at one context."""
+    _check_context(params, context_index)
+    groups = params.grouping[context_index : context_index + 1]
+    lead = params.theta[_slots(groups, params.n_actions)]
+    return _row_probs(lead, params.parameterization)[0]
 
 
 def _check_table(params: PolicyParams, table: RobustCostTable):
@@ -120,35 +153,23 @@ def policy_costs_and_grads(params: PolicyParams, table: RobustCostTable,
     """Per-context expected robust cost and its gradient in theta.
 
     Returns (costs, grads) with grads of shape (len(contexts), dim(theta));
-    entries outside a context's group are zero. Gradients are analytic:
-    linear for the clamp parameterization, softmax-weighted advantages for
-    the logit one.
+    entries outside a context's group are zero. Only the requested contexts
+    are computed.
     """
     _check_table(params, table)
     if context_indices is None:
-        context_indices = np.arange(table.n_contexts)
-    ctx = np.asarray(context_indices, dtype=np.int64)
-    k = params.n_actions
-    probs = policy_matrix(params)[ctx]
-    m = table.m_hat[ctx]
-    costs = np.einsum("ca,ca->c", probs, m)
-
-    lead_grad = np.empty((len(ctx), k - 1))
-    if params.parameterization is Parameterization.GROUP_PROB_CLAMP:
-        lead_grad[:] = m[:, : k - 1] - m[:, k - 1 :]
+        groups, m = params.grouping, table.m_hat
     else:
-        lead_grad[:] = probs[:, : k - 1] * (m[:, : k - 1] - costs[:, None])
-    grads = np.zeros((len(ctx), params.theta.size))
-    slots = params.grouping[ctx][:, None] * (k - 1) + np.arange(k - 1)[None, :]
-    np.put_along_axis(grads, slots, lead_grad, axis=1)
-    return costs, grads
+        ctx = np.asarray(context_indices, dtype=np.int64)
+        groups, m = params.grouping[ctx], table.m_hat[ctx]
+    return _policy_rows(params.theta, _slots(groups, params.n_actions), m,
+                        params.parameterization)
 
 
 def robust_policy_cost(params: PolicyParams, table: RobustCostTable,
                        context_index: int):
     """Expected robust cost of the policy at one context, with its gradient."""
-    if not 0 <= context_index < len(params.grouping):
-        raise UnknownContext(f"context index {context_index} outside the grouping map")
+    _check_context(params, context_index)
     costs, grads = policy_costs_and_grads(params, table, np.array([context_index]))
     return float(costs[0]), grads[0]
 
@@ -169,13 +190,6 @@ def project_theta(theta: np.ndarray, n_actions: int,
     if np.any(over):
         mat[over] /= mat[over].sum(axis=1, keepdims=True)
     return mat.ravel()
-
-
-def project_params(params: PolicyParams) -> PolicyParams:
-    """Project a parameter bundle back onto its feasible set."""
-    theta = project_theta(params.theta, params.n_actions, params.parameterization)
-    return PolicyParams(theta, params.grouping, params.n_actions,
-                        params.parameterization)
 
 
 # -- biased stochastic gradient descent ---------------------------------------
@@ -234,6 +248,22 @@ class LearnTrace:
         return len(self.lam)
 
 
+def _smoothed_step(theta: np.ndarray, slots: np.ndarray, m: np.ndarray, c: np.ndarray,
+                   lam: float, eta: float, epsilon_x: float,
+                   parameterization: Parameterization):
+    # one SGD estimate from the sampled candidates' theta slots, robust costs
+    # m and ground costs c(x, zeta)
+    costs, grads = _policy_rows(theta, slots, m, parameterization)
+    z = eta * (costs - lam * c)
+    top = float(z.max())
+    w = np.exp(z - top)
+    total = float(w.sum())
+    theta_grad = (w @ grads) / total
+    lambda_grad = epsilon_x - float(w @ c) / total
+    objective = epsilon_x * lam + (top + math.log(total / len(c))) / eta
+    return objective, theta_grad, lambda_grad
+
+
 def smoothed_gradients(params: PolicyParams, lam: float, table: RobustCostTable,
                        cost_row: np.ndarray, zeta_indices: np.ndarray,
                        eta: float, epsilon_x: float):
@@ -247,19 +277,11 @@ def smoothed_gradients(params: PolicyParams, lam: float, table: RobustCostTable,
 
     Returns (objective estimate, theta gradient, lambda gradient).
     """
+    _check_table(params, table)
     zeta = np.asarray(zeta_indices, dtype=np.int64)
-    uniq, inverse = np.unique(zeta, return_inverse=True)
-    costs_u, grads_u = policy_costs_and_grads(params, table, uniq)
-    costs, grads = costs_u[inverse], grads_u[inverse]
-    c = cost_row[zeta]
-    z = eta * (costs - lam * c)
-    top = float(z.max())
-    w = np.exp(z - top)
-    total = float(w.sum())
-    theta_grad = (w @ grads) / total
-    lambda_grad = epsilon_x - float(w @ c) / total
-    objective = epsilon_x * lam + (top + math.log(total / len(zeta))) / eta
-    return objective, theta_grad, lambda_grad
+    slots = _slots(params.grouping[zeta], params.n_actions)
+    return _smoothed_step(params.theta, slots, table.m_hat[zeta], cost_row[zeta], lam,
+                          eta, epsilon_x, params.parameterization)
 
 
 def bsgd_learn(table: RobustCostTable, context_dist: DiscreteDistribution,
@@ -275,48 +297,58 @@ def bsgd_learn(table: RobustCostTable, context_dist: DiscreteDistribution,
     [0, lambda_cap]. The final iterate is returned together with the full
     trace; no averaging is applied.
 
+    An iteration costs O(inner_batch * (dim(support) + dim(theta))) whatever
+    the support size: the context is drawn from a CDF built once, and policy
+    rows and ground costs are computed for the sampled contexts only. No
+    support x support cost matrix is formed; setup is O(|support|).
+
     Returns (final PolicyParams, final lambda, LearnTrace).
     """
     _check_table(policy0, table)
     if len(support) != table.n_contexts or len(context_dist.support) != table.n_contexts:
         raise InvalidConfig("support, context distribution and table must agree in size")
     theta0 = policy0.theta if config.theta0 is None else np.asarray(config.theta0, float)
-    params = project_params(
-        PolicyParams(theta0, policy0.grouping, policy0.n_actions, policy0.parameterization)
-    )
+    start = PolicyParams(theta0, policy0.grouping, policy0.n_actions, policy0.parameterization)
+    k, kind = start.n_actions, start.parameterization
+    theta = project_theta(start.theta, k, kind)
     lam = float(config.lambda0)
     y_max = float(table.m_hat.max())
     cap = config.lambda_cap
     if cap is None:
         cap = y_max / config.epsilon_x if config.epsilon_x > 0 else math.inf
+    cap = float(cap)
 
-    cmat = ground_cost.pairwise(support.points, support.points)
+    points = support.points
     n = len(support)
     step = config.step_size
     rng = np.random.default_rng(config.seed)
+    # the draw Generator.choice(n, p=weights) makes, with its CDF built once:
+    # same random stream, same contexts
+    cdf = np.cumsum(context_dist.weights)
+    cdf /= cdf[-1]
+    slot_map = _slots(start.grouping, k)
 
     t_count = config.iterations
-    trace_theta = np.empty((t_count, params.theta.size))
+    trace_theta = np.empty((t_count, theta.size))
     trace_lam = np.empty(t_count)
     trace_ctx = np.empty(t_count, dtype=np.int64)
     trace_obj = np.empty(t_count)
 
     for t in range(t_count):
-        x_idx = int(rng.choice(n, p=context_dist.weights))
+        x_idx = int(cdf.searchsorted(rng.random(), side="right"))
         zeta = rng.integers(0, n, size=config.inner_batch)
-        obj, theta_grad, lambda_grad = smoothed_gradients(
-            params, lam, table, cmat[x_idx], zeta, config.eta, config.epsilon_x
-        )
-        trace_theta[t] = params.theta
+        c = ground_cost.block(points[x_idx : x_idx + 1], points[zeta])[0]
+        obj, theta_grad, lambda_grad = _smoothed_step(
+            theta, slot_map[zeta], table.m_hat[zeta], c, lam, config.eta, config.epsilon_x,
+            kind)
+        trace_theta[t] = theta
         trace_lam[t] = lam
         trace_ctx[t] = x_idx
         trace_obj[t] = obj
-        theta_next = project_theta(params.theta - step * theta_grad,
-                                   params.n_actions, params.parameterization)
-        params = PolicyParams(theta_next, params.grouping, params.n_actions,
-                              params.parameterization)
-        lam = float(np.clip(lam - step * lambda_grad, 0.0, cap))
+        theta = project_theta(theta - step * theta_grad, k, kind)
+        lam = min(max(lam - step * lambda_grad, 0.0), cap)
 
+    params = PolicyParams(theta, start.grouping, k, kind)
     trace = LearnTrace(trace_theta, trace_lam, trace_ctx, trace_obj)
     return params, lam, trace
 
@@ -326,11 +358,20 @@ def smoothed_learning_objective(params: PolicyParams, lam: float,
                                 context_dist: DiscreteDistribution,
                                 eta: float, epsilon_x: float,
                                 ground_cost: GroundCost = GroundCost.SQUARED_EUCLIDEAN) -> float:
-    """Full-enumeration smoothed objective at (theta, lambda)."""
+    """Full-enumeration smoothed objective at (theta, lambda).
+
+    The cost matrix is built in row blocks of at most `duals._BLOCK_CELLS`
+    entries; no support x support matrix is held at once.
+    """
     _check_table(params, table)
     costs, _ = policy_costs_and_grads(params, table)
-    cmat = ground_cost.pairwise(context_dist.support.points, context_dist.support.points)
-    return smoothed_dual_value(lam, context_dist.weights, costs, cmat, epsilon_x, eta)
+    points = context_dist.support.points
+    rows = max(1, _BLOCK_CELLS // len(points))
+    inner = np.concatenate([
+        smoothed_inner_values(lam, costs, ground_cost.pairwise(points[i : i + rows], points), eta)
+        for i in range(0, len(points), rows)
+    ])
+    return float(epsilon_x * lam + context_dist.weights @ inner)
 
 
 # -- exact small-space search --------------------------------------------------

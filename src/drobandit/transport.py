@@ -32,6 +32,12 @@ class GroundCost(enum.Enum):
         pa, pb = _as_points(a), _as_points(b)
         if len(pa) * len(pb) > MAX_PAIRWISE_CELLS:
             raise InstanceTooLarge(f"{len(pa)} x {len(pb)} costs exceed {MAX_PAIRWISE_CELLS}")
+        return self.block(pa, pb)
+
+    def block(self, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+        """:meth:`pairwise` on two (n, dim) float64 arrays, without conversion or
+        size guard: for callers that keep their blocks small, one row at a time
+        in the SGD loop. Entries equal those of :meth:`pairwise` bit for bit."""
         if self is GroundCost.SQUARED_EUCLIDEAN:
             out = np.zeros((len(pa), len(pb)))
             for k in range(pa.shape[1]):  # per axis: no (len(a), len(b), dim) array

@@ -156,6 +156,19 @@ def test_ope_accepts_policy_file(tmp_path, canonical_data):
     assert 0.0 <= float(read_rows(out)[0]["value"]) <= 1.0
 
 
+def test_ope_accepts_policy_file_rounded_to_ten_decimals(tmp_path, canonical_data):
+    values = []
+    for name, third in (("exact.json", 1.0 / 3.0), ("rounded.json", 0.3333333333)):
+        policy = tmp_path / name
+        # the rounded rows sum to 0.9999999999, 1e-10 off one
+        policy.write_text(json.dumps({"probs": [[third, 2 * third]] * 3}))
+        out = tmp_path / f"{name}.csv"
+        assert main(["ope", "--data", str(canonical_data), "--epsilon-x", "0.1",
+                     "--epsilon-c", "0.1", "--policy", str(policy), "--out", str(out)]) == 0
+        values.append(float(read_rows(out)[0]["value"]))
+    assert values[1] == pytest.approx(values[0], abs=1e-9)
+
+
 def test_ope_table_out_covers_grid(tmp_path, canonical_data):
     table = tmp_path / "table.csv"
     assert main(["ope", "--data", str(canonical_data), "--epsilon-c", "0.05",

@@ -29,6 +29,7 @@ from drobandit.errors import (
     EmptyExperiment,
     MissingPair,
     PolicyContextMismatch,
+    ValidationError,
 )
 
 
@@ -171,6 +172,20 @@ def test_evaluate_single_context_support():
     for eps_x in (0.0, 0.3, 10.0):
         sol = evaluate_policy(policy, table, context_dist, eps_x)
         assert sol.value == pytest.approx(expected, abs=1e-9)
+
+
+def test_policy_rows_within_1e9_are_renormalized():
+    rounded = Policy(np.array([[0.3333333333] * 3, [0.2, 0.3, 0.5]]))
+    assert np.allclose(rounded.probs[0], 1.0 / 3.0, rtol=0, atol=1e-15)
+    assert abs(rounded.probs[0].sum() - 1.0) <= 1e-15
+    # rows already one to rounding are kept bit for bit
+    exact = np.full((2, 6), 1.0 / 6.0)
+    assert exact[0].sum() != 1.0
+    assert np.array_equal(Policy(exact).probs, exact)
+    with pytest.raises(ValidationError):
+        Policy(np.array([[0.33333333] * 3]))
+    with pytest.raises(ValidationError):
+        Policy(np.array([[1.2, -0.2]]))
 
 
 def test_evaluate_all_zero_radii_is_plugin():

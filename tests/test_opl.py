@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from drobandit import (
 )
 from drobandit.data import canonical_rate_config, sample_dataset
 from drobandit.errors import DimensionTooLarge, InvalidConfig, UnknownContext
-from drobandit.opl import policy_costs_and_grads
-from drobandit.transport import GroundCost
+from drobandit.duals import smoothed_inner_values
+from drobandit.opl import policy_costs_and_grads, project_theta
+from drobandit.transport import MAX_PAIRWISE_CELLS, GroundCost
 
 CLAMP = Parameterization.GROUP_PROB_CLAMP
 SOFTMAX = Parameterization.GROUP_SOFTMAX
@@ -123,6 +125,22 @@ def test_cost_gradient_matches_finite_differences():
         fd = _fd_gradient(fn=value_at, theta=theta)
         err = np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad)))
         assert err <= 1e-5
+
+
+def test_costs_for_requested_contexts_equal_rows_of_full_call():
+    rng = np.random.default_rng(19)
+    grouping = rng.integers(0, 3, size=50)
+    for kind in (CLAMP, SOFTMAX):
+        theta = (np.tile([0.2, 0.5], 3) if kind is CLAMP else rng.normal(size=6))
+        params = PolicyParams(theta, grouping, 3, kind)
+        table = RobustCostTable(rng.random((50, 3)), method="exact", epsilon_c=0.0)
+        costs, grads = policy_costs_and_grads(params, table)
+        ctx = np.array([7, 0, 7, 49])
+        sub_costs, sub_grads = policy_costs_and_grads(params, table, ctx)
+        assert np.array_equal(sub_costs, costs[ctx])
+        assert np.array_equal(sub_grads, grads[ctx])
+        value, grad = robust_policy_cost(params, table, 7)
+        assert value == costs[7] and np.array_equal(grad, grads[7])
 
 
 # -- smoothed gradients ------------------------------------------------------------
@@ -248,6 +266,90 @@ def test_bsgd_converges_to_grid_optimum_small():
     _, best = exact_opl(table, context_dist, np.array([0, 1]), CLAMP, eps_x,
                         method="regularized", eta=eta, resolution=101)
     assert final - best <= 5e-2
+
+
+def reference_bsgd(table, context_dist, support, config, policy0):
+    """The SGD loop written out plainly: a full cost matrix, `Generator.choice`
+    for the context and a validated PolicyParams at every step."""
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(support.points, support.points)
+    k, kind = policy0.n_actions, policy0.parameterization
+    params = PolicyParams(project_theta(policy0.theta, k, kind), policy0.grouping, k, kind)
+    lam = config.lambda0
+    cap = float(table.m_hat.max()) / config.epsilon_x
+    rng = np.random.default_rng(config.seed)
+    n = len(support)
+    rows = []
+    for _ in range(config.iterations):
+        x_idx = int(rng.choice(n, p=context_dist.weights))
+        zeta = rng.integers(0, n, size=config.inner_batch)
+        obj, theta_grad, lambda_grad = smoothed_gradients(
+            params, lam, table, cmat[x_idx], zeta, config.eta, config.epsilon_x)
+        rows.append((params.theta, lam, x_idx, obj))
+        theta = project_theta(params.theta - config.step_size * theta_grad, k, kind)
+        params = PolicyParams(theta, params.grouping, k, kind)
+        lam = float(np.clip(lam - config.step_size * lambda_grad, 0.0, cap))
+    return params, lam, rows
+
+
+def test_bsgd_trace_bit_identical_to_reference_loop():
+    rng = np.random.default_rng(29)
+    n = 40
+    support = SupportSet(rng.normal(size=(n, 2)))
+    weights = rng.random(n)
+    weights[rng.random(n) < 0.4] = 0.0
+    context_dist = make_distribution(support, weights / weights.sum())
+    table = RobustCostTable(rng.random((n, 3)), method="exact", epsilon_c=0.0)
+    grouping = np.arange(n) % 2
+    for kind, theta0 in ((CLAMP, np.array([0.2, 0.5, 0.6, 0.1])),
+                         (SOFTMAX, np.array([0.3, -0.4, 1.0, 0.0]))):
+        policy0 = PolicyParams(theta0, grouping, 3, kind)
+        config = BsgdConfig(iterations=300, inner_batch=16, eta=4.0, epsilon_x=0.3,
+                            seed=8, lambda0=0.5, gamma=0.2)
+        params, lam, trace = bsgd_learn(table, context_dist, support, config, policy0)
+        ref_params, ref_lam, rows = reference_bsgd(table, context_dist, support, config,
+                                                   policy0)
+        assert np.all(weights[trace.context_index] > 0)
+        assert np.array_equal(trace.theta, np.array([r[0] for r in rows]))
+        assert np.array_equal(trace.lam, np.array([r[1] for r in rows]))
+        assert np.array_equal(trace.context_index, np.array([r[2] for r in rows]))
+        assert np.array_equal(trace.objective, np.array([r[3] for r in rows]))
+        assert np.array_equal(params.theta, ref_params.theta)
+        assert lam == ref_lam
+
+
+def test_objective_in_row_blocks_equals_full_matrix():
+    rng = np.random.default_rng(31)
+    n = 1500  # three row blocks
+    support = SupportSet(rng.normal(size=(n, 3)))
+    context_dist = make_distribution(support, rng.dirichlet(np.ones(n)))
+    table = RobustCostTable(rng.random((n, 2)), method="exact", epsilon_c=0.0)
+    params = PolicyParams(np.array([0.3, 0.8]), np.arange(n) % 2, 2, CLAMP)
+    value = smoothed_learning_objective(params, 0.7, table, context_dist, 6.0, 0.2)
+    costs, _ = policy_costs_and_grads(params, table)
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(support.points, support.points)
+    full = float(0.2 * 0.7 + context_dist.weights @ smoothed_inner_values(0.7, costs, cmat, 6.0))
+    assert value == full
+
+
+def test_bsgd_runs_above_the_pairwise_limit_in_bounded_memory():
+    n = 6000
+    assert n * n > MAX_PAIRWISE_CELLS
+    rng = np.random.default_rng(37)
+    support = SupportSet(rng.normal(size=(n, 2)))
+    context_dist = make_distribution(support, rng.dirichlet(np.ones(n)))
+    table = RobustCostTable(rng.random((n, 2)), method="exact", epsilon_c=0.0)
+    policy0 = PolicyParams(np.array([0.5, 0.5]), np.arange(n) % 2, 2, CLAMP)
+    config = BsgdConfig(iterations=200, inner_batch=32, eta=5.0, epsilon_x=0.5, seed=2)
+    tracemalloc.start()
+    try:
+        params, lam, _ = bsgd_learn(table, context_dist, support, config, policy0)
+        value = smoothed_learning_objective(params, lam, table, context_dist, 5.0, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value)
+    full_matrix = n * n * 8  # 288 MB
+    assert peak <= full_matrix / 4
 
 
 # -- exact grid search ----------------------------------------------------------------
