@@ -173,12 +173,7 @@ def cmd_distance(args, argv) -> int:
         _write_csv(args.out, header, [row])
         outputs.append(args.out)
     if args.plan_out:
-        entries = [
-            (i, j, plan.matrix[i, j])
-            for i in range(plan.matrix.shape[0])
-            for j in range(plan.matrix.shape[1])
-            if plan.matrix[i, j] > 0
-        ]
+        entries = [(i, j, plan.matrix[i, j]) for i, j in np.argwhere(plan.matrix > 0)]
         _write_csv(args.plan_out, ["source_index", "target_index", "mass"], entries)
         outputs.append(args.plan_out)
     _write_manifest(args, argv, [args.p, args.q], outputs, time.monotonic() - start)

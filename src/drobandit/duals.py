@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .distributions import DiscreteDistribution, SupportSet, match_indices
 from .errors import (
@@ -33,9 +34,9 @@ from .errors import (
     NegativeEpsilon,
     NegativeLambda,
     NonPositiveEta,
+    NumericalError,
 )
-from .simplex import solve_max_lp
-from .transport import GroundCost
+from .transport import GroundCost, solve_max_lp
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MACHINE_EPS = float(np.finfo(np.float64).eps)
@@ -115,10 +116,11 @@ def golden_section_minimize(fn, lo, hi, value_tol, slope_bound, max_iter: int = 
 
     `fn(index, x)` returns the values of problems `index` at points `x`; the
     other arguments hold one entry per problem. A problem stops once width x
-    `slope_bound` (a Lipschitz bound) < `value_tol`, once width < 1e-15 x its
-    upper end, or after `max_iter` evaluations; each step evaluates only the
-    open problems. Both ends are evaluated, so no minimum exceeds fn(lo) or
-    fn(hi). Returns per-problem (argmin, min, number of evaluations).
+    `slope_bound` (a Lipschitz bound) < `value_tol` or once width < 1e-15 x
+    its upper end; each step evaluates only the open problems. Both ends are
+    evaluated, so no minimum exceeds fn(lo) or fn(hi). Returns per-problem
+    (argmin, min, number of evaluations). Raises :class:`NumericalError` if
+    a problem is still open after `max_iter` evaluations.
     """
     lo, hi, value_tol, slope_bound = np.broadcast_arrays(
         *np.atleast_1d(lo, hi, value_tol, slope_bound))
@@ -132,7 +134,9 @@ def golden_section_minimize(fn, lo, hi, value_tol, slope_bound, max_iter: int = 
     fc, fd = fn(idx, c), fn(idx, d)
     count = 4  # every open problem has made the same number of evaluations
     while True:
-        go = (b - a > np.maximum(floor, 1e-15 * np.abs(b))) & (count < max_iter)
+        go = b - a > np.maximum(floor, 1e-15 * np.abs(b))
+        if count >= max_iter and go.any():
+            raise NumericalError(f"golden-section search open after {count} evaluations")
         if not go.all():
             # moves drop only the worse interior point: the best one is c or d
             done = idx[~go]
@@ -354,12 +358,15 @@ def kl_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: float,
 
 def primal_oracle(p0: DiscreteDistribution, f: CostVector, epsilon: float,
                   cost: GroundCost = GroundCost.SQUARED_EUCLIDEAN) -> float:
-    """Certify the dual by solving the primal transport-budget LP exactly.
+    """Certify the dual by solving the primal transport-budget LP.
 
     Maximizes E_sigma[f] over couplings sigma with first marginal p0 and
-    expected transport cost at most epsilon, using the in-package simplex.
-    Intended as an oracle at desk scale; instances beyond 10^6 coupling
-    variables are rejected.
+    expected transport cost at most epsilon, with HiGHS on a sparse
+    constraint matrix (:func:`drobandit.transport.solve_max_lp`, feasibility
+    tolerances 1e-10). Intended as an oracle at desk scale; instances beyond
+    10^6 coupling variables are rejected. Raises :class:`InfeasiblePrimal`
+    when no coupling fits the budget and :class:`NumericalError` on any other
+    solver failure.
     """
     if epsilon < 0:
         raise NegativeEpsilon(f"epsilon must be non-negative, got {epsilon}")
@@ -369,13 +376,11 @@ def primal_oracle(p0: DiscreteDistribution, f: CostVector, epsilon: float,
     cmat = cost.pairwise(p0.support.points, f.support.points)
 
     # variables: sigma (m*n, row-major) then the budget slack
-    n_var = m * n + 1
-    eq = np.zeros((m + 1, n_var))
-    for i in range(m):
-        eq[i, i * n : (i + 1) * n] = 1.0
-    eq[m, : m * n] = cmat.ravel()
-    eq[m, -1] = 1.0
-    rhs = np.concatenate([p0.weights, [epsilon]])
-    obj = np.concatenate([np.tile(f.values, m), [0.0]])
+    row_sums = sparse.hstack([sparse.kron(sparse.eye(m), np.ones((1, n))),
+                              sparse.csr_matrix((m, 1))])
+    budget = sparse.csr_matrix(np.append(cmat.ravel(), 1.0))
+    eq = sparse.vstack([row_sums, budget], format="csr")
+    rhs = np.append(p0.weights, epsilon)
+    obj = np.append(np.tile(f.values, m), 0.0)
     value, _ = solve_max_lp(obj, eq, rhs)
     return value

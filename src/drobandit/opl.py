@@ -361,16 +361,20 @@ def smoothed_learning_objective(params: PolicyParams, lam: float,
     """Full-enumeration smoothed objective at (theta, lambda).
 
     The cost matrix is built in row blocks of at most `duals._BLOCK_CELLS`
-    entries; no support x support matrix is held at once.
+    entries; no support x support matrix is held at once. Only contexts of
+    positive weight are evaluated; the others keep an exact zero, so the sum
+    runs over the same terms in the same order.
     """
     _check_table(params, table)
     costs, _ = policy_costs_and_grads(params, table)
     points = context_dist.support.points
     rows = max(1, _BLOCK_CELLS // len(points))
-    inner = np.concatenate([
-        smoothed_inner_values(lam, costs, ground_cost.pairwise(points[i : i + rows], points), eta)
-        for i in range(0, len(points), rows)
-    ])
+    live = np.flatnonzero(context_dist.weights > 0)
+    inner = np.zeros(len(points))
+    for i in range(0, len(live), rows):
+        block = live[i : i + rows]
+        inner[block] = smoothed_inner_values(
+            lam, costs, ground_cost.pairwise(points[block], points), eta)
     return float(epsilon_x * lam + context_dist.weights @ inner)
 
 

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drobandit import (
     NON_ROBUST_SHORTCUT,
@@ -16,16 +19,21 @@ from drobandit import (
     regularized_dual_solve,
     wasserstein_dual_solve,
 )
+from drobandit.duals import golden_section_minimize
 from drobandit.errors import (
     EmptyInput,
+    InfeasiblePrimal,
     InstanceTooLarge,
     InvalidTolerance,
     NegativeEpsilon,
     NegativeLambda,
     NonPositiveEta,
+    NumericalError,
 )
+from drobandit.transport import GroundCost
 
 from instances import random_dual_instance
+from oracles import rational_simplex_max
 
 S01 = SupportSet.from_scalars([0.0, 1.0])
 UNIFORM01 = make_distribution(S01, [0.5, 0.5])
@@ -102,8 +110,8 @@ def test_primal_huge_budget_reaches_fmax():
 
 
 def test_primal_survives_degenerate_pivots():
-    # regression: this instance once produced a negative ratio in the
-    # simplex tie-break during a degenerate pivot
+    # regression: this instance once produced a negative ratio in a dense
+    # simplex's tie-break during a degenerate pivot
     support5 = SupportSet.from_scalars([0.0, 0.5, 1.0, 1.5, 2.0])
     p0 = make_distribution(support5, [0.35, 0.3, 0.2, 0.1, 0.05])
     f = CostVector(support5, np.array([0.05, 0.2, 0.45, 0.7, 1.0]))
@@ -112,12 +120,34 @@ def test_primal_survives_degenerate_pivots():
     assert primal == pytest.approx(dual.value, abs=1e-6)
 
 
+def test_primal_budget_below_the_cheapest_move_is_infeasible():
+    # every candidate lies at squared distance >= 1 from the only atom
+    p0 = make_distribution(SupportSet.from_scalars([0.0]), [1.0])
+    f = CostVector(SupportSet.from_scalars([1.0, 2.0]), np.array([0.0, 1.0]))
+    with pytest.raises(InfeasiblePrimal):
+        primal_oracle(p0, f, 0.5)
+    assert primal_oracle(p0, f, 1.0) == pytest.approx(0.0, abs=1e-12)
+
+
 def test_primal_instance_too_large():
     big = SupportSet.from_scalars(np.arange(1001.0))
     p = make_distribution(big, np.full(1001, 1 / 1001))
     f = CostVector(big, np.zeros(1001))
     with pytest.raises(InstanceTooLarge):
         primal_oracle(p, f, 1.0)
+
+
+# -- golden-section search ------------------------------------------------------------
+
+def test_golden_section_raises_at_the_iteration_cap():
+    def parabola(index, x):
+        return (x - 0.3) ** 2
+
+    with pytest.raises(NumericalError):
+        golden_section_minimize(parabola, 0.0, 1.0, 1e-12, 1.0, max_iter=10)
+    # a problem that meets its tolerance within the cap returns
+    x, _, evals = golden_section_minimize(parabola, 0.0, 1.0, 1e-2, 1.0, max_iter=20)
+    assert evals[0] <= 20 and abs(x[0] - 0.3) <= 0.1
 
 
 # -- log-sum-exp -------------------------------------------------------------------
@@ -249,31 +279,57 @@ def test_kl_small_radius_coin_matches_dense_search(eps):
 EPS_GRID = (0.01, 0.1, 1.0, 10.0)
 
 
+def rational_primal(p0, f, eps):
+    """The primal transport-budget LP of :func:`primal_oracle`, solved exactly."""
+    m, n = len(p0.support), len(f.support)
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)
+    obj = [Fraction(v) for v in np.tile(f.values, m)] + [Fraction(0)]
+    eq, rhs = [], []
+    for r in range(m):
+        row = [Fraction(0)] * (m * n + 1)
+        for j in range(n):
+            row[r * n + j] = Fraction(1)
+        eq.append(row)
+        rhs.append(Fraction(p0.weights[r]))
+    eq.append([Fraction(cmat[k // n][k % n]) for k in range(m * n)] + [Fraction(1)])
+    rhs.append(Fraction(eps))
+    exact, _ = rational_simplex_max(obj, eq, rhs)
+    return exact
+
+
 def test_primal_oracle_matches_exact_rational_simplex():
-    # the float tableau behind primal_oracle, certified by exact arithmetic
-    from fractions import Fraction
-
-    from drobandit.transport import GroundCost
-    from oracles import rational_simplex_max
-
+    # the HiGHS LP behind primal_oracle, certified by exact arithmetic
     rng = np.random.default_rng(19)
     for i in range(10):
         p0, f = random_dual_instance(rng, max_support=8)
         eps = EPS_GRID[i % len(EPS_GRID)]
-        m, n = len(p0.support), len(f.support)
-        cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)
-        obj = [Fraction(v) for v in np.tile(f.values, m)] + [Fraction(0)]
-        eq, rhs = [], []
-        for r in range(m):
-            row = [Fraction(0)] * (m * n + 1)
-            for j in range(n):
-                row[r * n + j] = Fraction(1)
-            eq.append(row)
-            rhs.append(Fraction(p0.weights[r]))
-        eq.append([Fraction(cmat[k // n][k % n]) for k in range(m * n)] + [Fraction(1)])
-        rhs.append(Fraction(eps))
-        exact, _ = rational_simplex_max(obj, eq, rhs)
+        exact = rational_primal(p0, f, eps)
         assert primal_oracle(p0, f, eps) == pytest.approx(float(exact), abs=1e-9)
+
+
+# atoms on a quarter grid of the plane, a few more candidates; costs from a
+# few levels, some negative, so they tie; zero weights are common
+GRID_POINTS = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                       min_size=2, max_size=7, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=GRID_POINTS, data=st.data(),
+       eps=st.one_of(st.sampled_from([1e-12, 1e3]),
+                     st.floats(-12.0, 3.0).map(lambda e: 10.0 ** e)))
+def test_primal_oracle_across_epsilon(points, data, eps):
+    atoms = data.draw(st.integers(1, len(points) - 1), label="atoms")
+    raw = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.5]),
+                                      min_size=atoms, max_size=atoms), label="weights"))
+    raw[0] += raw.sum() == 0
+    values = data.draw(st.lists(st.sampled_from([-1.0, -0.25, 0.0, 0.5, 1.0]),
+                                min_size=len(points), max_size=len(points)), label="costs")
+    support = SupportSet(np.array(points, dtype=float) * 0.25)
+    f = CostVector(support, np.array(values))
+    p0 = make_distribution(SupportSet(support.points[:atoms]), raw / raw.sum())
+    primal = primal_oracle(p0, f, eps)
+    assert primal == pytest.approx(float(rational_primal(p0, f, eps)), abs=1e-9)
+    assert abs(wasserstein_dual_solve(p0, f, eps).value - primal) <= 1e-6
 
 
 def test_strong_duality_sample():

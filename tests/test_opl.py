@@ -331,6 +331,23 @@ def test_objective_in_row_blocks_equals_full_matrix():
     assert value == full
 
 
+def test_objective_with_zero_weight_contexts_equals_full_matrix():
+    rng = np.random.default_rng(47)
+    n = 1500  # three row blocks before the zero rows are dropped, two after
+    support = SupportSet(rng.normal(size=(n, 3)))
+    weights = rng.random(n)
+    weights[rng.random(n) < 0.3] = 0.0
+    weights[:400] = 0.0
+    context_dist = make_distribution(support, weights / weights.sum())
+    table = RobustCostTable(rng.random((n, 2)), method="exact", epsilon_c=0.0)
+    params = PolicyParams(np.array([0.3, 0.8]), np.arange(n) % 2, 2, CLAMP)
+    value = smoothed_learning_objective(params, 0.7, table, context_dist, 6.0, 0.2)
+    costs, _ = policy_costs_and_grads(params, table)
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(support.points, support.points)
+    full = float(0.2 * 0.7 + context_dist.weights @ smoothed_inner_values(0.7, costs, cmat, 6.0))
+    assert value == full
+
+
 def test_bsgd_runs_above_the_pairwise_limit_in_bounded_memory():
     n = 6000
     assert n * n > MAX_PAIRWISE_CELLS

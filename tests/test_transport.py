@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from drobandit import (
     GroundCost,
@@ -43,6 +46,20 @@ def test_pairwise_refuses_oversized_matrix_before_allocating():
     try:
         with pytest.raises(InstanceTooLarge):
             GroundCost.SQUARED_EUCLIDEAN.pairwise(rows, cols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_line_refuses_oversized_plan_before_allocating():
+    n = transport.MAX_PAIRWISE_CELLS // 1000 + 1
+    p = scalar_dist(np.arange(float(n)), np.full(n, 1.0 / n))
+    q = scalar_dist(np.arange(1000.0), np.full(1000, 1e-3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceTooLarge):
+            wasserstein_distance(p, q)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -169,3 +186,47 @@ def test_split_radius_too_few_samples():
 def test_split_radius_odd_count_extra_goes_first():
     first, second = _split_halves([0.0, 1.0, 2.0, 3.0, 4.0], seed=9)
     assert len(first) == 3 and len(second) == 2
+
+
+# -- the monotone coupling on the line ------------------------------------------------
+
+def highs_transport_value(p_weights, q_weights, cost_matrix):
+    """The transportation LP, dense, solved by HiGHS."""
+    m, n = cost_matrix.shape
+    a_eq = np.vstack([np.kron(np.eye(m), np.ones((1, n))), np.kron(np.ones((1, m)), np.eye(n))])
+    res = linprog(cost_matrix.ravel(), A_eq=a_eq, b_eq=np.concatenate([p_weights, q_weights]),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+# (point, raw weight) atoms in drawing order, so unsorted; zero weights are
+# common and the small point pool makes the two supports share points
+LINE_ATOMS = st.lists(st.tuples(st.integers(-6, 6), st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.5])),
+                      min_size=1, max_size=6, unique_by=lambda atom: atom[0])
+
+
+def line_dist(atoms, shift):
+    points = np.array([a[0] for a in atoms], dtype=float) * 0.5 + shift
+    raw = np.array([a[1] for a in atoms])
+    raw[0] += raw.sum() == 0
+    return scalar_dist(points, raw / raw.sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(p_atoms=LINE_ATOMS, q_atoms=LINE_ATOMS, shift=st.sampled_from([0.0, 0.25, 20.0]))
+@example(p_atoms=[(0, 1.0)], q_atoms=[(3, 1.0), (-2, 2.0), (1, 0.0)], shift=0.0)  # 1 x n
+@example(p_atoms=[(4, 0.0), (-1, 1.0), (2, 3.5)], q_atoms=[(1, 1.0)], shift=0.0)  # m x 1
+@example(p_atoms=[(2, 1.0), (-3, 2.0)], q_atoms=[(5, 1.0), (-6, 1.0)], shift=20.0)  # disjoint
+@example(p_atoms=[(1, 1.0), (0, 1.0)], q_atoms=[(0, 1.0), (1, 1.0)], shift=0.0)  # shared
+def test_line_coupling_matches_lp_oracles(p_atoms, q_atoms, shift):
+    p, q = line_dist(p_atoms, 0.0), line_dist(q_atoms, shift)
+    d, plan = wasserstein_distance(p, q)
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p.support.points, q.support.points)
+    assert plan.cost(cmat) == pytest.approx(d, rel=1e-12, abs=1e-12)
+    assert np.max(np.abs(plan.matrix.sum(axis=1) - p.weights)) <= transport.MARGINAL_ATOL
+    assert np.max(np.abs(plan.matrix.sum(axis=0) - q.weights)) <= transport.MARGINAL_ATOL
+    exact = float(exact_transport_value(p.weights, q.weights, cmat))
+    assert d == pytest.approx(exact, rel=1e-12, abs=1e-9)
+    assert d == pytest.approx(highs_transport_value(p.weights, q.weights, cmat),
+                              rel=1e-9, abs=1e-9)
