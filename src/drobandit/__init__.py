@@ -9,7 +9,6 @@ from .distributions import (
     empirical_distribution,
     kl_divergence,
     make_distribution,
-    point_mass,
     total_variation,
     uniform_distribution,
 )

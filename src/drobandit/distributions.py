@@ -166,12 +166,6 @@ def uniform_distribution(support: SupportSet) -> DiscreteDistribution:
     return DiscreteDistribution(support, np.full(n, 1.0 / n))
 
 
-def point_mass(support: SupportSet, index: int) -> DiscreteDistribution:
-    w = np.zeros(len(support))
-    w[index] = 1.0
-    return DiscreteDistribution(support, w)
-
-
 def match_indices(samples, support: SupportSet) -> np.ndarray:
     """Map each sample to its support index (exact coordinate match at 1e-12)."""
     s = _as_points(samples)

@@ -304,18 +304,17 @@ def _values_at_atoms(p0: DiscreteDistribution, f: CostVector) -> np.ndarray:
 
 
 def dual_objective(lam: float, p0: DiscreteDistribution, f: CostVector,
-                   epsilon: float, cost: GroundCost = GroundCost.SQUARED_EUCLIDEAN) -> float:
+                   epsilon: float) -> float:
     """Evaluate eps*lam + E_p0[ max_zeta ( f(zeta) - lam*c(x, zeta) ) ]."""
     if lam < 0:
         raise NegativeLambda(f"lam must be non-negative, got {lam}")
     if epsilon < 0:
         raise NegativeEpsilon(f"epsilon must be non-negative, got {epsilon}")
-    cmat = cost.pairwise(p0.support.points, f.support.points)
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)
     return float(epsilon * lam + p0.weights @ exact_inner_values(lam, f.values, cmat))
 
 
 def wasserstein_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: float,
-                           cost: GroundCost = GroundCost.SQUARED_EUCLIDEAN,
                            tol: float | None = None) -> DualSolution:
     """Worst-case expectation of f over the transport ball of radius epsilon.
 
@@ -325,13 +324,12 @@ def wasserstein_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: flo
     f_max. With epsilon = 0 the non-robust expectation E_p0[f] is returned,
     flagged via :data:`NON_ROBUST_SHORTCUT`.
     """
-    cmat = cost.pairwise(p0.support.points, f.support.points)
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)
     plugin = float(p0.weights @ _values_at_atoms(p0, f)) if epsilon == 0 else None
     return solve_transport_dual(p0.weights, f.values, cmat, epsilon, tol, plugin_value=plugin)
 
 
 def regularized_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: float,
-                           cost: GroundCost = GroundCost.SQUARED_EUCLIDEAN,
                            smoothing: SmoothingConfig | None = None,
                            tol: float | None = None) -> DualSolution:
     """Entropy-smoothed variant of :func:`wasserstein_dual_solve`.
@@ -343,7 +341,7 @@ def regularized_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: flo
     """
     if smoothing is None:
         raise NonPositiveEta("a SmoothingConfig with positive eta is required")
-    cmat = cost.pairwise(p0.support.points, f.support.points)
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)
     plugin = float(p0.weights @ _values_at_atoms(p0, f)) if epsilon == 0 else None
     return solve_transport_dual(
         p0.weights, f.values, cmat, epsilon, tol, eta=smoothing.eta, plugin_value=plugin
@@ -356,8 +354,7 @@ def kl_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: float,
     return solve_kl_dual(p0.weights, _values_at_atoms(p0, f), epsilon, tol)
 
 
-def primal_oracle(p0: DiscreteDistribution, f: CostVector, epsilon: float,
-                  cost: GroundCost = GroundCost.SQUARED_EUCLIDEAN) -> float:
+def primal_oracle(p0: DiscreteDistribution, f: CostVector, epsilon: float) -> float:
     """Certify the dual by solving the primal transport-budget LP.
 
     Maximizes E_sigma[f] over couplings sigma with first marginal p0 and
@@ -373,7 +370,7 @@ def primal_oracle(p0: DiscreteDistribution, f: CostVector, epsilon: float,
     m, n = len(p0.support), len(f.support)
     if m * n > 1_000_000:
         raise InstanceTooLarge(f"{m} x {n} coupling variables exceed the oracle limit")
-    cmat = cost.pairwise(p0.support.points, f.support.points)
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)
 
     # variables: sigma (m*n, row-major) then the budget slack
     row_sums = sparse.hstack([sparse.kron(sparse.eye(m), np.ones((1, n))),

@@ -147,8 +147,8 @@ def solve_shared_support(weights: np.ndarray, values: np.ndarray,
 
 def robust_cost_table(dataset, cost_model: CostModel, epsilon_c: float,
                       method: str = "exact", eta: float | None = None,
-                      tol: float | None = None, impute_missing_ymax: bool = False,
-                      ground_cost: GroundCost = GroundCost.SQUARED_EUCLIDEAN) -> RobustCostTable:
+                      tol: float | None = None,
+                      impute_missing_ymax: bool = False) -> RobustCostTable:
     """Robust per-pair cost estimates from logged data.
 
     For every (context, action) pair the pair's observed xi samples become an
@@ -174,7 +174,8 @@ def robust_cost_table(dataset, cost_model: CostModel, epsilon_c: float,
         raise MissingPair(missing)
 
     m_hat = np.full((n_x, n_a), cost_model.y_max, dtype=np.float64)
-    xi_costs = ground_cost.pairwise(cost_model.xi_support.points, cost_model.xi_support.points)
+    xi = cost_model.xi_support.points
+    xi_costs = GroundCost.SQUARED_EUCLIDEAN.pairwise(xi, xi)
     logged = pair_totals > 0
     m_hat[logged] = solve_shared_support(
         counts[logged] / pair_totals[logged][:, None], cost_model.y[logged], xi_costs,
@@ -194,8 +195,7 @@ def policy_cost_per_context(policy: Policy, table: RobustCostTable) -> np.ndarra
 def evaluate_policy(policy: Policy, table: RobustCostTable,
                     context_dist: DiscreteDistribution, epsilon_x: float,
                     method: str = "exact", eta: float | None = None,
-                    tol: float | None = None,
-                    ground_cost: GroundCost = GroundCost.SQUARED_EUCLIDEAN) -> DualSolution:
+                    tol: float | None = None) -> DualSolution:
     """Robust policy value: outer robust aggregation of the per-pair table.
 
     The per-context cost is computed for every point of the context support,
@@ -207,7 +207,8 @@ def evaluate_policy(policy: Policy, table: RobustCostTable,
             f"context support size {len(context_dist.support)} vs table rows {table.n_contexts}"
         )
     per_context = policy_cost_per_context(policy, table)
-    cmat = ground_cost.pairwise(context_dist.support.points, context_dist.support.points)
+    points = context_dist.support.points
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(points, points)
     return solve_shared_support(
         context_dist.weights, per_context, cmat, epsilon_x, method, eta, tol
     )
@@ -279,8 +280,7 @@ def rate_experiment(config, n_grid, trials: int, seed: int,
 
 
 def true_robust_table(config, epsilon_c: float, method: str = "exact",
-                      eta: float | None = None, tol: float | None = None,
-                      ground_cost: GroundCost = GroundCost.SQUARED_EUCLIDEAN) -> RobustCostTable:
+                      eta: float | None = None, tol: float | None = None) -> RobustCostTable:
     """Robust cost table computed from a generator's true xi distributions."""
     n_x, n_a = len(config.context_dist.support), len(config.xi_dists[0])
     dists = [dist for row in config.xi_dists for dist in row]
@@ -289,6 +289,6 @@ def true_robust_table(config, epsilon_c: float, method: str = "exact",
     xi = config.cost_model.xi_support.points
     m_hat = solve_shared_support(
         np.array([dist.weights for dist in dists]), config.cost_model.y.reshape(n_x * n_a, -1),
-        ground_cost.pairwise(xi, xi), epsilon_c, method, eta, tol,
+        GroundCost.SQUARED_EUCLIDEAN.pairwise(xi, xi), epsilon_c, method, eta, tol,
     ).value.reshape(n_x, n_a)
     return RobustCostTable(m_hat, method=method, epsilon_c=epsilon_c, eta=eta)

@@ -93,15 +93,23 @@ def _slots(groups: np.ndarray, n_actions: int) -> np.ndarray:
 
 
 def _row_probs(lead: np.ndarray, parameterization: Parameterization) -> np.ndarray:
-    """Action probabilities of rows with leading parameters `lead`, (rows, k - 1) -> (rows, k)."""
+    """Action probabilities of rows with leading parameters `lead`, (..., k - 1) -> (..., k)."""
     if parameterization is Parameterization.GROUP_PROB_CLAMP:
         lead = np.clip(lead, 0.0, 1.0)
-        rest = np.clip(1.0 - lead.sum(axis=1, keepdims=True), 0.0, None)
-        return np.hstack([lead, rest])
-    z = np.hstack([lead, np.zeros((lead.shape[0], 1))])
-    z -= z.max(axis=1, keepdims=True)
+        rest = np.clip(1.0 - lead.sum(axis=-1, keepdims=True), 0.0, None)
+        return np.concatenate([lead, rest], axis=-1)
+    z = np.concatenate([lead, np.zeros(lead.shape[:-1] + (1,))], axis=-1)
+    z -= z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _policy_costs(thetas: np.ndarray, slots: np.ndarray, m: np.ndarray,
+                  parameterization: Parameterization) -> np.ndarray:
+    """Expected robust cost at each context of `slots` (see :func:`_slots`) with
+    robust costs `m`, for one theta (dim,) -> (rows,) or a batch (P, dim) -> (P, rows).
+    Equal bit for bit to the costs of :func:`_policy_rows`."""
+    return np.einsum("...ca,ca->...c", _row_probs(thetas[..., slots], parameterization), m)
 
 
 def _policy_rows(theta: np.ndarray, slots: np.ndarray, m: np.ndarray,
@@ -285,8 +293,7 @@ def smoothed_gradients(params: PolicyParams, lam: float, table: RobustCostTable,
 
 
 def bsgd_learn(table: RobustCostTable, context_dist: DiscreteDistribution,
-               support: SupportSet, config: BsgdConfig, policy0: PolicyParams,
-               ground_cost: GroundCost = GroundCost.SQUARED_EUCLIDEAN):
+               support: SupportSet, config: BsgdConfig, policy0: PolicyParams):
     """Learn a robust policy by biased SGD on the smoothed objective.
 
     Each iteration samples one context from the nominal context distribution,
@@ -337,7 +344,7 @@ def bsgd_learn(table: RobustCostTable, context_dist: DiscreteDistribution,
     for t in range(t_count):
         x_idx = int(cdf.searchsorted(rng.random(), side="right"))
         zeta = rng.integers(0, n, size=config.inner_batch)
-        c = ground_cost.block(points[x_idx : x_idx + 1], points[zeta])[0]
+        c = GroundCost.SQUARED_EUCLIDEAN.block(points[x_idx : x_idx + 1], points[zeta])[0]
         obj, theta_grad, lambda_grad = _smoothed_step(
             theta, slot_map[zeta], table.m_hat[zeta], c, lam, config.eta, config.epsilon_x,
             kind)
@@ -356,8 +363,7 @@ def bsgd_learn(table: RobustCostTable, context_dist: DiscreteDistribution,
 def smoothed_learning_objective(params: PolicyParams, lam: float,
                                 table: RobustCostTable,
                                 context_dist: DiscreteDistribution,
-                                eta: float, epsilon_x: float,
-                                ground_cost: GroundCost = GroundCost.SQUARED_EUCLIDEAN) -> float:
+                                eta: float, epsilon_x: float) -> float:
     """Full-enumeration smoothed objective at (theta, lambda).
 
     The cost matrix is built in row blocks of at most `duals._BLOCK_CELLS`
@@ -366,7 +372,8 @@ def smoothed_learning_objective(params: PolicyParams, lam: float,
     runs over the same terms in the same order.
     """
     _check_table(params, table)
-    costs, _ = policy_costs_and_grads(params, table)
+    costs = _policy_costs(params.theta, _slots(params.grouping, params.n_actions),
+                          table.m_hat, params.parameterization)
     points = context_dist.support.points
     rows = max(1, _BLOCK_CELLS // len(points))
     live = np.flatnonzero(context_dist.weights > 0)
@@ -374,7 +381,7 @@ def smoothed_learning_objective(params: PolicyParams, lam: float,
     for i in range(0, len(live), rows):
         block = live[i : i + rows]
         inner[block] = smoothed_inner_values(
-            lam, costs, ground_cost.pairwise(points[block], points), eta)
+            lam, costs, GroundCost.SQUARED_EUCLIDEAN.pairwise(points[block], points), eta)
     return float(epsilon_x * lam + context_dist.weights @ inner)
 
 
@@ -383,49 +390,51 @@ def smoothed_learning_objective(params: PolicyParams, lam: float,
 def exact_opl(table: RobustCostTable, context_dist: DiscreteDistribution,
               grouping, parameterization: Parameterization, epsilon_x: float,
               method: str = "exact", eta: float | None = None,
-              resolution: int = 101, theta_box: tuple[float, float] | None = None,
-              tol: float | None = None,
-              ground_cost: GroundCost = GroundCost.SQUARED_EUCLIDEAN):
+              resolution: int = 101, tol: float | None = None):
     """Grid-search the policy space and return the robust minimizer.
 
-    Every grid point is scored with the same robust evaluation used by
-    :func:`drobandit.ope.evaluate_policy`; ties keep the earliest grid point.
-    Only parameter dimensions up to three are accepted -- the grid is a
-    certification tool, not a scalable learner.
+    Every axis has `resolution` points on [0, 1] for the clamp
+    parameterization (points whose group probabilities sum above one are
+    dropped) and on [-5, 5] for logits. Every grid point is scored with the
+    same robust evaluation used by :func:`drobandit.ope.evaluate_policy`, in
+    chunks of max(1, `duals._BLOCK_CELLS` // N^2) points that each make one
+    batched dual call on the shared N x N cost matrix, so no (points x N)
+    array is held at once. Ties keep the earliest grid point in
+    `np.ndindex` order. Only parameter dimensions up to three are accepted --
+    the grid is a certification tool, not a scalable learner.
 
     Returns (best PolicyParams, best value).
     """
     grouping = np.asarray(grouping, dtype=np.int64)
     n_actions = table.n_actions
-    n_groups = int(grouping.max()) + 1
-    dim = n_groups * (n_actions - 1)
+    dim = (int(grouping.max()) + 1) * (n_actions - 1)
     if dim > 3:
         raise DimensionTooLarge(f"grid search supports up to 3 parameters, got {dim}")
     if resolution < 2:
         raise ValidationError("resolution must be at least 2")
-    if theta_box is None:
-        theta_box = (0.0, 1.0) if parameterization is Parameterization.GROUP_PROB_CLAMP \
-            else (-5.0, 5.0)
+    clamp = parameterization is Parameterization.GROUP_PROB_CLAMP
+    axis = np.linspace(*((0.0, 1.0) if clamp else (-5.0, 5.0)), resolution)
+    thetas = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    if clamp:
+        sums = thetas.reshape(len(thetas), -1, n_actions - 1).sum(axis=2)
+        thetas = thetas[~np.any(sums > 1 + 1e-12, axis=1)]
+    # the all-lowest grid point is feasible: validate grouping and table once
+    _check_table(PolicyParams(thetas[0], grouping, n_actions, parameterization), table)
 
-    cmat = ground_cost.pairwise(context_dist.support.points, context_dist.support.points)
-    axis = np.linspace(theta_box[0], theta_box[1], resolution)
-    best_theta, best_value = None, math.inf
-    for multi in np.ndindex(*([resolution] * dim)):
-        theta = axis[list(multi)]
-        if parameterization is Parameterization.GROUP_PROB_CLAMP and np.any(
-            theta.reshape(n_groups, n_actions - 1).sum(axis=1) > 1 + 1e-12
-        ):
-            continue
-        params = PolicyParams(theta, grouping, n_actions, parameterization)
-        costs, _ = policy_costs_and_grads(params, table)
-        value = solve_shared_support(
-            context_dist.weights, costs, cmat, epsilon_x, method, eta, tol
-        ).value
-        if value < best_value:
-            best_theta, best_value = theta, value
-    if best_theta is None:
-        raise ValidationError("no feasible grid point")
+    slots = _slots(grouping, n_actions)
+    points = context_dist.support.points
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(points, points)
+    step = max(1, _BLOCK_CELLS // cmat.size)
+    values = []
+    for start in range(0, len(thetas), step):
+        costs = _policy_costs(thetas[start : start + step], slots, table.m_hat,
+                              parameterization)
+        weights = np.broadcast_to(context_dist.weights, costs.shape)
+        values.append(solve_shared_support(weights, costs, cmat, epsilon_x, method, eta,
+                                           tol).value)
+    values = np.concatenate(values)
+    best = int(np.argmin(values))
     return (
-        PolicyParams(best_theta, grouping, n_actions, parameterization),
-        float(best_value),
+        PolicyParams(thetas[best], grouping, n_actions, parameterization),
+        float(values[best]),
     )

@@ -76,11 +76,8 @@ class TransportPlan:
         return float(np.sum(self.matrix * cost_matrix))
 
 
-def wasserstein_distance(
-    p: DiscreteDistribution,
-    q: DiscreteDistribution,
-    cost: GroundCost = GroundCost.SQUARED_EUCLIDEAN,
-) -> tuple[float, TransportPlan]:
+def wasserstein_distance(p: DiscreteDistribution,
+                         q: DiscreteDistribution) -> tuple[float, TransportPlan]:
     """Transportation-problem distance between two discrete distributions.
 
     Supports may differ; the value is always finite. On the line the optimal
@@ -108,7 +105,7 @@ def wasserstein_distance(
         distance, plan = _monotone_coupling(p.support.points[:, 0], p.weights,
                                             q.support.points[:, 0], q.weights)
     else:
-        cmat = cost.pairwise(p.support.points, q.support.points)
+        cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p.support.points, q.support.points)
         # row-sum and column-sum constraints; one is redundant but HiGHS copes
         rows = sparse.kron(sparse.eye(m), np.ones((1, n)), format="csr")
         cols = sparse.kron(np.ones((1, m)), sparse.eye(n), format="csr")
@@ -167,9 +164,7 @@ def _check_marginals(matrix: np.ndarray, p_w: np.ndarray, q_w: np.ndarray):
         raise NumericalError("transport plan violates marginal constraints")
 
 
-def split_radius_estimate(
-    contexts, seed: int, cost: GroundCost = GroundCost.SQUARED_EUCLIDEAN
-) -> float:
+def split_radius_estimate(contexts, seed: int) -> float:
     """Data-driven uncertainty radius: distance between two halves of a sample.
 
     The samples are shuffled with the given seed and split evenly (odd counts
@@ -187,6 +182,5 @@ def split_radius_estimate(
     first, second = pts[order[:cut]], pts[order[cut:]]
     union = SupportSet(np.unique(pts, axis=0))
     d, _ = wasserstein_distance(
-        empirical_distribution(first, union), empirical_distribution(second, union), cost
-    )
+        empirical_distribution(first, union), empirical_distribution(second, union))
     return d

@@ -24,9 +24,11 @@ from drobandit import (
     true_robust_table,
     uniform_distribution,
 )
+from drobandit import opl
 from drobandit.data import canonical_rate_config, sample_dataset
 from drobandit.errors import DimensionTooLarge, InvalidConfig, UnknownContext
 from drobandit.duals import smoothed_inner_values
+from drobandit.ope import solve_shared_support
 from drobandit.opl import policy_costs_and_grads, project_theta
 from drobandit.transport import MAX_PAIRWISE_CELLS, GroundCost
 
@@ -355,18 +357,21 @@ def test_bsgd_runs_above_the_pairwise_limit_in_bounded_memory():
     support = SupportSet(rng.normal(size=(n, 2)))
     context_dist = make_distribution(support, rng.dirichlet(np.ones(n)))
     table = RobustCostTable(rng.random((n, 2)), method="exact", epsilon_c=0.0)
-    policy0 = PolicyParams(np.array([0.5, 0.5]), np.arange(n) % 2, 2, CLAMP)
     config = BsgdConfig(iterations=200, inner_batch=32, eta=5.0, epsilon_x=0.5, seed=2)
-    tracemalloc.start()
-    try:
-        params, lam, _ = bsgd_learn(table, context_dist, support, config, policy0)
-        value = smoothed_learning_objective(params, lam, table, context_dist, 5.0, 0.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert math.isfinite(value)
-    full_matrix = n * n * 8  # 288 MB
-    assert peak <= full_matrix / 4
+    # two groups, and one group per context (the CLI's identity grouping),
+    # where a contexts x dim(theta) gradient matrix would itself be N x N
+    for grouping in (np.arange(n) % 2, np.arange(n)):
+        policy0 = PolicyParams(np.full(grouping.max() + 1, 0.5), grouping, 2, CLAMP)
+        tracemalloc.start()
+        try:
+            params, lam, _ = bsgd_learn(table, context_dist, support, config, policy0)
+            value = smoothed_learning_objective(params, lam, table, context_dist, 5.0, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value)
+        full_matrix = n * n * 8  # 288 MB
+        assert peak <= full_matrix / 4
 
 
 # -- exact grid search ----------------------------------------------------------------
@@ -399,6 +404,67 @@ def test_exact_opl_beats_uniform_policy():
                             resolution=41)
         uniform_value = evaluate_policy(Policy.uniform(2, 2), table, context_dist, 0.2).value
         assert best <= uniform_value + 1e-9
+
+
+def reference_grid(table, context_dist, grouping, kind, epsilon_x, method, eta, resolution):
+    """The grid search written out plainly: one 1-d dual solve per grid point in
+    np.ndindex order, a strict `<` keeping the earliest of tied points."""
+    k = table.n_actions
+    n_groups = int(grouping.max()) + 1
+    axis = np.linspace(0.0, 1.0, resolution) if kind is CLAMP else np.linspace(-5.0, 5.0,
+                                                                                resolution)
+    points = context_dist.support.points
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(points, points)
+    best_theta, best_value = None, math.inf
+    for multi in np.ndindex(*[resolution] * (n_groups * (k - 1))):
+        theta = axis[list(multi)]
+        if kind is CLAMP and np.any(theta.reshape(n_groups, k - 1).sum(axis=1) > 1 + 1e-12):
+            continue
+        costs, _ = policy_costs_and_grads(PolicyParams(theta, grouping, k, kind), table)
+        value = solve_shared_support(context_dist.weights, costs, cmat, epsilon_x, method,
+                                     eta).value
+        if value < best_value:
+            best_theta, best_value = theta, value
+    return best_theta, best_value
+
+
+def test_exact_opl_chunks_match_one_solve_per_grid_point(monkeypatch):
+    # chunks of three grid points on the 5 x 5 cost matrix
+    monkeypatch.setattr(opl, "_BLOCK_CELLS", 3 * 25)
+    rng = np.random.default_rng(53)
+    support = SupportSet(rng.normal(size=(5, 2)))
+    context_dist = make_distribution(support, [0.4, 0.0, 0.1, 0.3, 0.2])
+    for method, eta in (("exact", None), ("regularized", 4.0), ("kl", None)):
+        for kind in (CLAMP, SOFTMAX):
+            for k, grouping, resolution in ((3, np.zeros(5, dtype=int), 7),
+                                            (2, np.array([0, 1, 2, 0, 1]), 4)):
+                # negative costs: a clamp point of total mass above one would win
+                table = RobustCostTable(rng.random((5, k)) - 0.5, method="exact",
+                                        epsilon_c=0.0)
+                params, value = exact_opl(table, context_dist, grouping, kind, 0.3,
+                                          method=method, eta=eta, resolution=resolution)
+                theta, ref = reference_grid(table, context_dist, grouping, kind, 0.3,
+                                            method, eta, resolution)
+                assert np.array_equal(params.theta, theta)
+                assert abs(value - ref) <= 1e-12
+
+
+def test_exact_opl_tie_across_chunks_keeps_first_grid_point(monkeypatch):
+    # context 1 costs zero whatever theta[1]; context 0 is cheapest at the top of
+    # theta[0]'s axis, so the last 5 of 25 grid points tie exactly, and chunks of
+    # three split them (18-20 | 21-23 | 24)
+    monkeypatch.setattr(opl, "_BLOCK_CELLS", 3 * 4)
+    support = SupportSet.from_scalars([0.0, 1.0])
+    table = RobustCostTable(np.array([[0.0, 1.0], [0.0, 0.0]]), method="exact",
+                            epsilon_c=0.0)
+    for kind in (CLAMP, SOFTMAX):
+        args = (table, uniform_distribution(support), np.array([0, 1]), kind, 0.2, "exact",
+                None, 5)
+        params, value = exact_opl(*args)
+        theta, ref = reference_grid(*args)
+        assert params.theta[1] == theta[1] == (0.0 if kind is CLAMP else -5.0)
+        assert np.array_equal(params.theta, theta)
+        assert value == ref
 
 
 def test_exact_opl_dimension_limit():

@@ -142,7 +142,7 @@ def test_agreement_with_exact_rational_lp_oracle():
         q_pts = rng.normal(size=(n, dim)) * 2
         p = make_distribution(SupportSet(p_pts), rng.dirichlet(np.ones(m)))
         q = make_distribution(SupportSet(q_pts), rng.dirichlet(np.ones(n)))
-        d, _ = wasserstein_distance(p, q, cost)
+        d, _ = wasserstein_distance(p, q)
         cmat = cost.pairwise(p_pts, q_pts)
         exact = float(exact_transport_value(p.weights, q.weights, cmat))
         assert d == pytest.approx(exact, abs=1e-8)
