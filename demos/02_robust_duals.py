@@ -42,7 +42,8 @@ for lam in np.linspace(0.0, cost.f_max / epsilon, 12):
 solution = wasserstein_dual_solve(nominal, cost, epsilon)
 certificate = primal_oracle(nominal, cost, epsilon)
 print(f"\nexact dual : value {solution.value:.6f} at lambda* {solution.lambda_star:.4f}"
-      f" ({solution.iterations} evaluations on bracket {solution.bracket})")
+      f" ({solution.iterations} evaluations on bracket {solution.bracket},"
+      f" certified gap {solution.gap:.1e})")
 print(f"primal LP  : value {certificate:.6f}  -> duality gap {abs(solution.value - certificate):.2e}")
 
 # smoothing: log-sum-exp replaces the inner max; the error is at most log(n)/eta

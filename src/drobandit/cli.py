@@ -4,7 +4,9 @@ Subcommands: distance, radius, ope, opl, compare, rate, synth, rerun. Every
 run that writes files also writes a JSON manifest capturing the exact argv,
 seed, tool version and input digests; `drobandit rerun MANIFEST` replays the
 recorded argv and reproduces the output files byte for byte. Timing lives in
-the manifest and on stdout, never inside output CSVs.
+the manifest and on stdout, never inside output CSVs; so do the diagnostics
+`ope` records (the outer solve's evaluations, lambda*, bracket and certified
+gap, the minimum pair frequency and the number of imputed pairs).
 
 Exit codes: 0 success, 2 I/O or file-format problems, 3 validation problems,
 4 numerical failures.
@@ -78,7 +80,7 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args, argv, inputs, outputs, wall_clock_s, extra=None) -> None:
+def _write_manifest(args, argv, inputs, outputs, wall_clock_s, diagnostics=None) -> None:
     path = args.manifest_out
     if path is None and args.out:
         path = f"{args.out}.manifest.json"
@@ -97,6 +99,8 @@ def _write_manifest(args, argv, inputs, outputs, wall_clock_s, extra=None) -> No
             if k != "command" and isinstance(v, (str, int, float, bool, type(None)))
         },
     }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     with open(path, "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -256,7 +260,14 @@ def cmd_ope(args, argv) -> int:
         ]
         _write_csv(args.table_out, ["context_index", "action_index", "m_hat"], rows)
         outputs.append(args.table_out)
-    _write_manifest(args, argv, inputs, outputs, wall)
+    coverage = dataset.diagnostics
+    diagnostics = {
+        "outer_solve": {"iterations": solution.iterations, "lambda_star": solution.lambda_star,
+                        "bracket": list(solution.bracket), "gap": solution.gap},
+        "min_pair_frequency": coverage.min_pair_frequency,
+        "imputed_pairs": table.m_hat.size - len(coverage.pair_counts),
+    }
+    _write_manifest(args, argv, inputs, outputs, wall, diagnostics)
     return 0
 
 

@@ -220,12 +220,11 @@ def load_dataset(path, schema: dict, binning: BinningSpec | None = None,
         if missing:
             raise SchemaMismatch(f"columns missing from {path}: {sorted(missing)}")
 
+        rules = [(col, binning.rule(col)) for col in context_columns]
         binned_rows, action_labels, raw_costs = [], [], []
         for line_no, row in enumerate(reader, start=2):
             try:
-                point = tuple(
-                    binning.rule(col).apply(row[col]) for col in context_columns
-                )
+                point = tuple(rule.apply(row[col]) for col, rule in rules)
             except ValueError as exc:
                 raise UnparsableRow(line_no, str(exc)) from exc
             label = str(row[action_column]).strip()
@@ -256,8 +255,8 @@ def load_dataset(path, schema: dict, binning: BinningSpec | None = None,
     # per-column levels: observed plus declared (categorical) levels
     if support == "full":
         levels = []
-        for j, col in enumerate(context_columns):
-            seen = {pt[j] for pt in binned_rows} | set(binning.rule(col).declared_values())
+        for j, (_, rule) in enumerate(rules):
+            seen = {pt[j] for pt in binned_rows} | set(rule.declared_values())
             levels.append(sorted(seen))
         all_points = [tuple(p) for p in itertools.product(*levels)]
     else:

@@ -7,15 +7,20 @@ transport ball reduces to minimizing
     epsilon * lam + E_nominal[ max_zeta ( f(zeta) - lam * c(x, zeta) ) ]
 
 over the scalar lam >= 0. The objective is convex (a mixture of pointwise
-maxima of affine functions of lam), the minimizer lives in [0, f_max/epsilon]
-for non-negative f, and golden-section search is exact enough on a bracket of
-that size. The entropy-smoothed variant replaces the inner max with a
-log-sum-exp at sharpness eta against the uniform reference measure, which
-keeps the value within log(support size)/eta of the exact one. The KL-ball
-dual and an exact-LP primal oracle complete the toolbox.
+maxima of affine functions of lam), and the minimizer lives in
+[0, f_max/epsilon] for non-negative f. The entropy-smoothed variant replaces
+the inner max with a log-sum-exp at sharpness eta against the uniform
+reference measure, which keeps the value within log(support size)/eta of the
+exact one. The KL-ball dual and an exact-LP primal oracle complete the
+toolbox.
 
-One kernel solves every dual: a lockstep golden-section search over a batch
-of problems sharing a cost matrix; a single solve is a batch of one.
+One kernel solves every dual: :func:`convex_minimize` runs a batch of
+problems in lockstep. Each evaluation returns the objective's slope from
+the argmax or softmax it already computes, and its curvature where it has
+one. The exact dual, piecewise linear, takes cutting-plane steps (Kelley,
+1960); the smoothed and KL duals take safeguarded Newton steps. Every value
+comes with a certified gap: the minimum lies within `gap` below it. A single
+solve is a batch of one.
 """
 from __future__ import annotations
 
@@ -38,7 +43,6 @@ from .errors import (
 )
 from .transport import GroundCost, solve_max_lp
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MACHINE_EPS = float(np.finfo(np.float64).eps)
 
 #: marker stored on solutions returned by the epsilon = 0 convention
@@ -75,12 +79,17 @@ class CostVector:
 
 @dataclass(frozen=True)
 class DualSolution:
-    """Outcome of a 1-d dual minimization."""
+    """Outcome of a 1-d dual minimization.
+
+    `iterations` counts objective evaluations. `gap` certifies the value:
+    the minimum over `bracket` lies in [value - gap, value].
+    """
 
     lambda_star: float
     value: float
     iterations: int
     bracket: tuple[float, float]
+    gap: float
     shortcut: str | None = None
 
 
@@ -111,51 +120,65 @@ def lse(values, eta: float) -> float:
     return top + math.log(float(np.mean(np.exp(eta * (v - top))))) / eta
 
 
-def golden_section_minimize(fn, lo, hi, value_tol, slope_bound, max_iter: int = 400):
-    """Minimize P unimodal functions in lockstep, each to within its `value_tol`.
+def convex_minimize(fn, hi, tol, max_iter: int = 400):
+    """Minimize P convex functions on [0, hi[p]] in lockstep, each to a certified gap.
 
-    `fn(index, x)` returns the values of problems `index` at points `x`; the
-    other arguments hold one entry per problem. A problem stops once width x
-    `slope_bound` (a Lipschitz bound) < `value_tol` or once width < 1e-15 x
-    its upper end; each step evaluates only the open problems. Both ends are
-    evaluated, so no minimum exceeds fn(lo) or fn(hi). Returns per-problem
-    (argmin, min, number of evaluations). Raises :class:`NumericalError` if
-    a problem is still open after `max_iter` evaluations.
+    `fn(index, x)` returns (values, slopes, curvatures) of problems `index`
+    at points `x`: a slope is any subgradient (the right derivative at 0),
+    a curvature the second derivative, or 0 where there is none. Each open
+    problem keeps a bracket [a, b] with slope(a) < 0 < slope(b) and evaluates
+    one point per step: the Newton point from its best iterate if the
+    curvature there is positive and the point falls inside (a, b), otherwise
+    the crossing of the tangents at a and b. The point replaces the end whose
+    slope has its sign. A problem stops at 0 if slope(0) >= 0, at b once
+    slope(b) <= 0, and otherwise once its gap, min(best - tangent-model
+    minimum, |slope(best)| * (b - a)), is at most its `tol` or rounding
+    leaves no point inside (a, b). By convexity the gap bounds best - minimum.
+
+    Returns per-problem (argmin, min, gap, number of evaluations). Raises
+    :class:`NumericalError` if a problem is still open after `max_iter`
+    evaluations.
     """
-    lo, hi, value_tol, slope_bound = np.broadcast_arrays(
-        *np.atleast_1d(lo, hi, value_tol, slope_bound))
-    f_lo, f_hi = fn(np.arange(len(hi)), lo), fn(np.arange(len(hi)), hi)
-    best_x, best_f = np.where(f_lo <= f_hi, [lo, f_lo], [hi, f_hi])
-    evals = np.full(len(hi), 2, dtype=np.int64)
-    idx = np.flatnonzero(hi - lo > 0)
-    floor = np.maximum(value_tol / np.maximum(slope_bound, 1e-300), 1e-15)[idx]
-    a, b = lo[idx], hi[idx]
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = fn(idx, c), fn(idx, d)
-    count = 4  # every open problem has made the same number of evaluations
-    while True:
-        go = b - a > np.maximum(floor, 1e-15 * np.abs(b))
-        if count >= max_iter and go.any():
-            raise NumericalError(f"golden-section search open after {count} evaluations")
-        if not go.all():
-            # moves drop only the worse interior point: the best one is c or d
-            done = idx[~go]
-            evals[done] = count
-            for point, value in ((c[~go], fc[~go]), (d[~go], fd[~go])):
-                better = value < best_f[done]
-                best_x[done[better]], best_f[done[better]] = point[better], value[better]
-            idx, floor, a, b, c, d, fc, fd = (v[go] for v in (idx, floor, a, b, c, d, fc, fd))
-        if not idx.size:
-            return best_x, best_f, evals
-        left = fc <= fd  # keep [a, d] and c, or [c, b] and d; evaluate one new point
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
-        step = _INV_PHI * (b - a)
-        x = np.where(left, b - step, a + step)
-        fx = fn(idx, x)
+    hi, tol = np.broadcast_arrays(*np.atleast_1d(np.asarray(hi, dtype=np.float64), tol))
+    best_x = np.zeros(len(hi))
+    best_f, g0, h0 = fn(np.arange(len(hi)), best_x)
+    best_f, gap = np.array(best_f, dtype=np.float64), np.zeros(len(hi))
+    evals = np.ones(len(hi), dtype=np.int64)
+    idx = np.flatnonzero((g0 < 0) & (hi > 0))  # the others stop at 0
+    a, fa, ga, ha = best_x[idx], best_f[idx], g0[idx], h0[idx]
+    b = hi[idx]
+    fb, gb, hb = fn(idx, b)
+    count = 2  # every open problem has made the same number of evaluations
+    while idx.size:
+        left = fa <= fb  # the best iterate is always an end of the bracket
+        x, f, g, h = (np.where(left, u, v) for u, v in ((a, b), (fa, fb), (ga, gb), (ha, hb)))
+        width = b - a
+        cross = a + np.clip((fa - fb + gb * width) / (gb - ga), 0.0, width)
+        cut = np.maximum(np.minimum(f - (fa + ga * (cross - a)), np.abs(g) * width), 0.0)
+        newton = (h > 0) & ((x - b) * h < g) & (g < (x - a) * h)  # x - g/h inside (a, b)
+        newton = x - np.divide(g, h, out=np.zeros_like(g), where=newton)
+        step = np.where((a < newton) & (newton < b), newton, cross)  # after rounding too
+        at_b = gb <= 0
+        done = at_b | (cut <= tol[idx]) | ~((a < step) & (step < b))
+        if done.any():
+            stop = idx[done]
+            evals[stop] = count
+            best_x[stop] = np.where(at_b[done], b[done], x[done])
+            best_f[stop] = np.where(at_b[done], fb[done], f[done])
+            gap[stop] = np.where(at_b[done], 0.0, cut[done])
+            keep = ~done
+            idx, step, a, fa, ga, ha, b, fb, gb, hb = (
+                v[keep] for v in (idx, step, a, fa, ga, ha, b, fb, gb, hb))
+            if not idx.size:
+                break
+        if count >= max_iter:
+            raise NumericalError(f"convex minimization open after {count} evaluations")
+        fx, gx, hx = fn(idx, step)
         count += 1
-        c, fc = np.where(left, x, kept), np.where(left, fx, f_kept)
-        d, fd = np.where(left, kept, x), np.where(left, f_kept, fx)
+        right, new = gx >= 0, (step, fx, gx, hx)  # the new point replaces b or a
+        a, fa, ga, ha = (np.where(right, u, v) for u, v in zip((a, fa, ga, ha), new))
+        b, fb, gb, hb = (np.where(right, v, u) for u, v in zip((b, fb, gb, hb), new))
+    return best_x, best_f, gap, evals
 
 
 # -- matrix-level kernels ----------------------------------------------------
@@ -186,17 +209,23 @@ def smoothed_inner_values(lam, values: np.ndarray, cost_matrix: np.ndarray,
 
 @dataclass(frozen=True)
 class DualBatch:
-    """Outcome of P 1-d dual minimizations; problem p searched [0, upper[p]]."""
+    """Outcome of P 1-d dual minimizations; problem p searched [0, upper[p]].
+
+    `gap[p]` certifies the value: the true minimum lies in
+    [value[p] - gap[p], value[p]].
+    """
 
     lambda_star: np.ndarray
     value: np.ndarray
     iterations: np.ndarray
     upper: np.ndarray
+    gap: np.ndarray
     shortcut: str | None = None
 
     def solution(self, p: int) -> DualSolution:
         return DualSolution(float(self.lambda_star[p]), float(self.value[p]),
-                            int(self.iterations[p]), (0.0, float(self.upper[p])), self.shortcut)
+                            int(self.iterations[p]), (0.0, float(self.upper[p])),
+                            float(self.gap[p]), self.shortcut)
 
 
 def _tolerances(epsilon, tol, f_max: np.ndarray) -> np.ndarray:
@@ -210,7 +239,54 @@ def _tolerances(epsilon, tol, f_max: np.ndarray) -> np.ndarray:
 def _plugin_batch(expected, f_max: np.ndarray) -> DualBatch:
     cap = np.where(f_max > 0, f_max / _MACHINE_EPS, 0.0)
     return DualBatch(cap, np.atleast_1d(np.asarray(expected, dtype=np.float64)),
-                     np.zeros(len(cap), dtype=np.int64), cap, NON_ROBUST_SHORTCUT)
+                     np.zeros(len(cap), dtype=np.int64), cap, np.zeros(len(cap)),
+                     NON_ROBUST_SHORTCUT)
+
+
+def _transport_objective(weights, values, cost_matrix, epsilon, eta, problems):
+    """The `fn` of :func:`convex_minimize` for the transport duals of one block.
+
+    Each evaluation writes its (problems x atoms x candidates) payoffs into
+    one buffer. Exact: the slope is eps - sum_i w_i c(x_i, zeta_i*) at the
+    argmax zeta_i*, and the curvature 0 (the objective is piecewise linear).
+    Smoothed: the slope is eps - sum_i w_i E_softmax[c] and the curvature
+    eta * sum_i w_i Var_softmax[c], from one product with (c, c^2).
+    """
+    buffer = np.empty((problems,) + cost_matrix.shape)
+    rows = np.arange(len(cost_matrix))
+    if eta is not None:  # payoffs scaled by eta; c and c^2 side by side, c a view
+        values = eta * values
+        powers = np.empty((len(cost_matrix), 2, cost_matrix.shape[1]))
+        powers[:, 0] = cost_matrix
+        np.square(cost_matrix, out=powers[:, 1])
+        cost_matrix = powers[:, 0]
+
+    def objective(index, lam):
+        w, z = weights[index], buffer[: len(index)]
+        np.multiply((lam if eta is None else eta * lam)[:, None, None], cost_matrix, out=z)
+        np.subtract(values[index][:, None, :], z, out=z)
+        if eta is None:
+            star = z.argmax(axis=-1)
+            inner = np.take_along_axis(z, star[..., None], axis=-1)[..., 0]
+            return (epsilon * lam + np.einsum("ki,ki->k", w, inner),
+                    epsilon - np.einsum("ki,ki->k", w, cost_matrix[rows, star]),
+                    np.zeros(len(index)))
+        top = z.max(axis=-1)
+        z -= top[..., None]
+        # exp() of arguments below -708 gives subnormals or zeros, several
+        # times slower to produce and to multiply; the floor moves each sum
+        # (at least 1, from its top term) by under n * 1e-304
+        np.maximum(z, -700.0, out=z)
+        np.exp(z, out=z)
+        total = z.sum(axis=-1)
+        inner = (top + np.log(total / z.shape[-1])) / eta
+        mean, square = np.matmul(powers, z.transpose(1, 2, 0)).transpose(1, 0, 2) / total.T
+        spread = np.maximum(square - mean * mean, 0.0)
+        return (epsilon * lam + np.einsum("ki,ki->k", w, inner),
+                epsilon - np.einsum("ki,ik->k", w, mean),
+                eta * np.einsum("ki,ik->k", w, spread))
+
+    return objective
 
 
 def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
@@ -220,8 +296,9 @@ def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
     Row p of `weights` (P, atoms) and `values` (P, candidates) is a problem;
     `cost_matrix[i, j]` is the cost from atom i to candidate j; `eta=None` is
     the exact dual, a positive `eta` the smoothed one. Problems are solved in
-    lockstep per block of at most `_BLOCK_CELLS` problem-atom-candidate cells,
-    without the atoms weightless in the whole block. `plugin` (epsilon = 0)
+    lockstep by :func:`convex_minimize` per block of at most `_BLOCK_CELLS`
+    problem-atom-candidate cells, without the atoms weightless in the whole
+    block, each to a certified gap of at most `tol`. `plugin` (epsilon = 0)
     defaults to row-wise weights . values, right when atoms are the candidates.
     """
     weights, values, cost_matrix = (np.asarray(v, dtype=np.float64)
@@ -238,21 +315,16 @@ def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
     shifted = values - shift[:, None]
     slack = 0.0 if eta is None else math.log(values.shape[1]) / eta
     hi = (shifted.max(axis=1) + slack) / epsilon
-    slope = max(epsilon, float(cost_matrix.max(initial=0.0)))
-    lam, value, evals = np.empty((3, len(values)))
+    lam, value, gap, evals = np.empty((4, len(values)))
     step = max(1, _BLOCK_CELLS // max(cost_matrix.size, 1))
     for block in (slice(s, s + step) for s in range(0, len(values), step)):
         atoms = weights[block].any(axis=0)
-        w, v, cmat = weights[block][:, atoms], shifted[block], cost_matrix[atoms]
-
-        def objective(index, x):
-            inner = (exact_inner_values(x, v[index], cmat) if eta is None
-                     else smoothed_inner_values(x, v[index], cmat, eta))
-            return epsilon * x + np.einsum("ki,ki->k", w[index], inner)
-
-        lam[block], value[block], evals[block] = golden_section_minimize(
-            objective, 0.0, hi[block], tol[block], slope)
-    return DualBatch(lam, value + shift, evals.astype(np.int64), hi)
+        objective = _transport_objective(weights[block][:, atoms], shifted[block],
+                                         cost_matrix[atoms], epsilon, eta,
+                                         len(values[block]))
+        lam[block], value[block], gap[block], evals[block] = convex_minimize(
+            objective, hi[block], tol[block])
+    return DualBatch(lam, value + shift, evals.astype(np.int64), hi, gap)
 
 
 def solve_transport_dual(weights, values, cost_matrix, epsilon, tol=None,
@@ -267,7 +339,9 @@ def solve_kl_duals(weights, values, epsilon, tol=None) -> DualBatch:
 
     Rows of `weights` and `values` are problems over atoms of positive weight.
     The objective is f_top (the observed max) at lam = 0 and, by Jensen, at
-    least eps*lam + E[f], so lam* lies in [0, (f_top - E[f]) / eps].
+    least eps*lam + E[f], so lam* lies in [0, (f_top - E[f]) / eps]. The slope
+    is eps - KL(tilted || nominal), eps + ln(weight on the top atoms) at 0,
+    and the curvature Var_tilted(f) / lam^3.
     """
     weights, values = np.asarray(weights, dtype=np.float64), np.asarray(values, dtype=np.float64)
     seen = weights > 0
@@ -278,16 +352,24 @@ def solve_kl_duals(weights, values, epsilon, tol=None) -> DualBatch:
         return _plugin_batch(expected, values.max(axis=1))
     lifted = np.where(seen, values - top[:, None], 0.0)  # exp() stays in (0, 1]
     hi = np.maximum(top - expected, 0.0) / epsilon
-    # the slope is eps - KL(tilted || nominal), within [eps - ln(1/w_min), eps]
-    slope = np.maximum(epsilon, -np.log(np.where(seen, weights, 1.0).min(axis=1)))
+    slope_at_zero = epsilon + np.log(np.where(seen & (lifted == 0), weights, 0.0).sum(axis=1))
 
     def objective(index, lam):
         positive = lam > 0
-        g = lifted[index] / np.where(positive, lam, 1.0)[:, None]
-        tilt = np.log1p(np.einsum("ki,ki->k", weights[index], np.expm1(g)))
-        return np.where(positive, epsilon * lam + top[index] + lam * tilt, top[index])
+        scale = np.where(positive, lam, 1.0)
+        w, g = weights[index], lifted[index] / scale[:, None]
+        tilt = np.log1p(np.einsum("ki,ki->k", w, np.expm1(g)))
+        log_ratio = g - tilt[:, None]  # ln(tilted / nominal) on atoms of positive weight
+        tilted = w * np.exp(log_ratio)
+        mean = np.einsum("ki,ki->k", tilted, g)
+        spread = np.einsum("ki,ki->k", tilted, np.square(g - mean[:, None]))
+        return (np.where(positive, epsilon * lam + top[index] + lam * tilt, top[index]),
+                np.where(positive, epsilon - np.einsum("ki,ki->k", tilted, log_ratio),
+                         slope_at_zero[index]),
+                np.where(positive, spread / scale, 0.0))  # Var(f)/lam^3 = Var(f/lam)/lam
 
-    return DualBatch(*golden_section_minimize(objective, 0.0, hi, tol, slope), hi)
+    lam, value, gap, evals = convex_minimize(objective, hi, tol)
+    return DualBatch(lam, value, evals, hi, gap)
 
 
 def solve_kl_dual(weights, values, epsilon: float, tol: float | None = None) -> DualSolution:
@@ -318,10 +400,13 @@ def wasserstein_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: flo
                            tol: float | None = None) -> DualSolution:
     """Worst-case expectation of f over the transport ball of radius epsilon.
 
-    Minimizes the convex dual objective over lam in [0, f_max/epsilon] by
-    golden-section search; the reported value is accurate to `tol` (default
-    1e-9 * f_max) and, because lam = 0 is always evaluated, never exceeds
-    f_max. With epsilon = 0 the non-robust expectation E_p0[f] is returned,
+    Minimizes the convex dual objective over lam in [0, f_max/epsilon] with
+    cutting-plane steps (:func:`convex_minimize`). The reported value is an
+    attained objective value, so it never exceeds f_max (the value at
+    lam = 0), and the solution's `gap` certifies that the minimum lies in
+    [value - gap, value]. The gap is at most `tol` (default 1e-9 * f_max)
+    unless rounding leaves no room to search, which the gap then shows. With
+    epsilon = 0 the non-robust expectation E_p0[f] is returned with gap 0,
     flagged via :data:`NON_ROBUST_SHORTCUT`.
     """
     cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)

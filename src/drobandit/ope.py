@@ -128,11 +128,12 @@ class RobustCostTable:
 
 
 def solve_shared_support(weights: np.ndarray, values: np.ndarray,
-                         cost_matrix: np.ndarray, epsilon: float, method: str,
+                         cost_matrix: np.ndarray | None, epsilon: float, method: str,
                          eta: float | None = None,
                          tol: float | None = None) -> DualSolution | DualBatch:
     """Dispatch to the chosen dual solver; atoms and candidates coincide.
-    1-d `weights` and `values` give a DualSolution, (P, n) arrays a DualBatch."""
+    1-d `weights` and `values` give a DualSolution, (P, n) arrays a DualBatch.
+    The KL method ignores `cost_matrix`, which may then be None."""
     batch = np.ndim(values) == 2
     if method == "regularized" and (eta is None or not eta > 0):
         raise NonPositiveEta("method 'regularized' needs a positive eta")
@@ -143,6 +144,12 @@ def solve_shared_support(weights: np.ndarray, values: np.ndarray,
     if method == "kl":
         return (solve_kl_duals if batch else solve_kl_dual)(weights, values, epsilon, tol)
     raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
+def _shared_costs(points, method: str) -> np.ndarray | None:
+    """Squared-Euclidean costs between all pairs of `points`, for the transport
+    methods; the KL dual reads no costs, so it gets None and no N x N matrix."""
+    return None if method == "kl" else GroundCost.SQUARED_EUCLIDEAN.pairwise(points, points)
 
 
 def robust_cost_table(dataset, cost_model: CostModel, epsilon_c: float,
@@ -174,12 +181,11 @@ def robust_cost_table(dataset, cost_model: CostModel, epsilon_c: float,
         raise MissingPair(missing)
 
     m_hat = np.full((n_x, n_a), cost_model.y_max, dtype=np.float64)
-    xi = cost_model.xi_support.points
-    xi_costs = GroundCost.SQUARED_EUCLIDEAN.pairwise(xi, xi)
     logged = pair_totals > 0
     m_hat[logged] = solve_shared_support(
-        counts[logged] / pair_totals[logged][:, None], cost_model.y[logged], xi_costs,
-        epsilon_c, method, eta, tol).value
+        counts[logged] / pair_totals[logged][:, None], cost_model.y[logged],
+        _shared_costs(cost_model.xi_support.points, method), epsilon_c, method, eta,
+        tol).value
     return RobustCostTable(m_hat, method=method, epsilon_c=epsilon_c, eta=eta)
 
 
@@ -207,8 +213,7 @@ def evaluate_policy(policy: Policy, table: RobustCostTable,
             f"context support size {len(context_dist.support)} vs table rows {table.n_contexts}"
         )
     per_context = policy_cost_per_context(policy, table)
-    points = context_dist.support.points
-    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(points, points)
+    cmat = _shared_costs(context_dist.support.points, method)
     return solve_shared_support(
         context_dist.weights, per_context, cmat, epsilon_x, method, eta, tol
     )
@@ -286,9 +291,9 @@ def true_robust_table(config, epsilon_c: float, method: str = "exact",
     dists = [dist for row in config.xi_dists for dist in row]
     if not all(dist.support.matches(config.cost_model.xi_support) for dist in dists):
         raise ValidationError("xi distributions must live on the cost model support")
-    xi = config.cost_model.xi_support.points
     m_hat = solve_shared_support(
         np.array([dist.weights for dist in dists]), config.cost_model.y.reshape(n_x * n_a, -1),
-        GroundCost.SQUARED_EUCLIDEAN.pairwise(xi, xi), epsilon_c, method, eta, tol,
+        _shared_costs(config.cost_model.xi_support.points, method), epsilon_c, method,
+        eta, tol,
     ).value.reshape(n_x, n_a)
     return RobustCostTable(m_hat, method=method, epsilon_c=epsilon_c, eta=eta)

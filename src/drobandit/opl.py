@@ -26,7 +26,7 @@ from .errors import (
     UnknownContext,
     ValidationError,
 )
-from .ope import RobustCostTable, solve_shared_support
+from .ope import RobustCostTable, _shared_costs, solve_shared_support
 from .transport import GroundCost
 
 
@@ -399,9 +399,11 @@ def exact_opl(table: RobustCostTable, context_dist: DiscreteDistribution,
     same robust evaluation used by :func:`drobandit.ope.evaluate_policy`, in
     chunks of max(1, `duals._BLOCK_CELLS` // N^2) points that each make one
     batched dual call on the shared N x N cost matrix, so no (points x N)
-    array is held at once. Ties keep the earliest grid point in
-    `np.ndindex` order. Only parameter dimensions up to three are accepted --
-    the grid is a certification tool, not a scalable learner.
+    array is held at once. The KL method builds no cost matrix, and its
+    chunks hold max(1, `duals._BLOCK_CELLS` // N) points. Ties keep the
+    earliest grid point in `np.ndindex` order. Only parameter dimensions up
+    to three are accepted -- the grid is a certification tool, not a
+    scalable learner.
 
     Returns (best PolicyParams, best value).
     """
@@ -422,9 +424,8 @@ def exact_opl(table: RobustCostTable, context_dist: DiscreteDistribution,
     _check_table(PolicyParams(thetas[0], grouping, n_actions, parameterization), table)
 
     slots = _slots(grouping, n_actions)
-    points = context_dist.support.points
-    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(points, points)
-    step = max(1, _BLOCK_CELLS // cmat.size)
+    cmat = _shared_costs(context_dist.support.points, method)
+    step = max(1, _BLOCK_CELLS // (len(context_dist.support) if cmat is None else cmat.size))
     values = []
     for start in range(0, len(thetas), step):
         costs = _policy_costs(thetas[start : start + step], slots, table.m_hat,

@@ -294,3 +294,30 @@ def test_manifest_rerun_reproduces_outputs_byte_identically(tmp_path):
     assert recorded["command"] == "ope"
     assert recorded["inputs"]
     assert recorded["outputs"] == [str(ope_out)]
+
+
+def test_ope_manifest_records_solver_and_coverage_diagnostics(tmp_path):
+    # 2 contexts x 2 actions, 3 records: pair (1, control) is imputed
+    data = tmp_path / "raw.csv"
+    data.write_text("risk,treatment,event,death\n0,drug,N,N\n0,control,Y,N\n1,drug,N,N\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({
+        "context_columns": ["risk"],
+        "action_column": "treatment",
+        "actions": ["control", "drug"],
+        "outcome_columns": ["event", "death"],
+        "cost_weights": {"event": 1.0, "death": 3.0},
+    }))
+    out = tmp_path / "ope.csv"
+    assert main(["ope", "--data", str(data), "--config", str(schema), "--epsilon-x", "0.1",
+                 "--epsilon-c", "0.1", "--impute-missing-ymax", "--out", str(out)]) == 0
+    diagnostics = json.loads((tmp_path / "ope.csv.manifest.json").read_text())["diagnostics"]
+    solve = diagnostics["outer_solve"]
+    assert set(solve) == {"iterations", "lambda_star", "bracket", "gap"}
+    assert solve["iterations"] >= 1 and 0.0 <= solve["gap"] <= 1e-9 * 4.0
+    assert solve["bracket"][0] == 0.0 <= solve["lambda_star"] <= solve["bracket"][1]
+    assert diagnostics["min_pair_frequency"] == 0.0
+    assert diagnostics["imputed_pairs"] == 1
+    # the diagnostics stay out of the output CSV
+    assert set(read_rows(out)[0]) == {"method", "epsilon_x", "epsilon_c", "eta", "value",
+                                      "lambda_star"}

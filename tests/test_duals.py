@@ -19,7 +19,8 @@ from drobandit import (
     regularized_dual_solve,
     wasserstein_dual_solve,
 )
-from drobandit.duals import golden_section_minimize
+from drobandit.distributions import match_indices
+from drobandit.duals import convex_minimize
 from drobandit.errors import (
     EmptyInput,
     InfeasiblePrimal,
@@ -137,17 +138,18 @@ def test_primal_instance_too_large():
         primal_oracle(p, f, 1.0)
 
 
-# -- golden-section search ------------------------------------------------------------
+# -- convex minimizer -----------------------------------------------------------------
 
-def test_golden_section_raises_at_the_iteration_cap():
+def test_convex_minimize_raises_at_the_iteration_cap():
     def parabola(index, x):
-        return (x - 0.3) ** 2
+        return (x - 0.3) ** 2, 2.0 * (x - 0.3), np.zeros_like(x)  # tangent steps only
 
     with pytest.raises(NumericalError):
-        golden_section_minimize(parabola, 0.0, 1.0, 1e-12, 1.0, max_iter=10)
+        convex_minimize(parabola, 1.0, 1e-300, max_iter=3)
     # a problem that meets its tolerance within the cap returns
-    x, _, evals = golden_section_minimize(parabola, 0.0, 1.0, 1e-2, 1.0, max_iter=20)
+    x, value, gap, evals = convex_minimize(parabola, 1.0, 1e-2, max_iter=20)
     assert evals[0] <= 20 and abs(x[0] - 0.3) <= 0.1
+    assert 0.0 <= gap[0] <= 1e-2 and value[0] - gap[0] <= 0.0
 
 
 # -- log-sum-exp -------------------------------------------------------------------
@@ -208,15 +210,7 @@ def test_regularized_bracket_holds_the_minimizer():
     f = CostVector(support, rng.random(20))
     p0 = make_distribution(support, np.full(20, 0.05))
     sol = regularized_dual_solve(p0, f, 0.1, smoothing=SmoothingConfig(0.5))
-
-    cmat = ((support.points[:, None, :] - support.points[None, :, :]) ** 2).sum(axis=2)
-
-    def objective(lam):  # (k,) multipliers -> (k,) smoothed dual values
-        z = 0.5 * (f.values[None, None, :] - lam[:, None, None] * cmat[None])
-        top = z.max(axis=2)
-        inner = (top + np.log(np.exp(z - top[..., None]).mean(axis=2))) / 0.5
-        return 0.1 * lam + inner @ p0.weights
-
+    objective = smoothed_objective(p0, f, 0.1, 0.5)
     grid = np.linspace(0.0, 100.0, 20001)
     for _ in range(3):  # convex: zoom in on the best grid cell
         k = int(np.argmin(objective(grid)))
@@ -313,11 +307,12 @@ GRID_POINTS = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
                        min_size=2, max_size=7, unique=True)
 
 
-@settings(max_examples=60, deadline=None)
-@given(points=GRID_POINTS, data=st.data(),
-       eps=st.one_of(st.sampled_from([1e-12, 1e3]),
-                     st.floats(-12.0, 3.0).map(lambda e: 10.0 ** e)))
-def test_primal_oracle_across_epsilon(points, data, eps):
+EPSILONS = st.one_of(st.sampled_from([1e-12, 1e3]),
+                    st.floats(-12.0, 3.0).map(lambda e: 10.0 ** e))
+
+
+def draw_instance(points, data):
+    """Nominal atoms on the first points, costs on all of them."""
     atoms = data.draw(st.integers(1, len(points) - 1), label="atoms")
     raw = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.5]),
                                       min_size=atoms, max_size=atoms), label="weights"))
@@ -326,10 +321,80 @@ def test_primal_oracle_across_epsilon(points, data, eps):
                                 min_size=len(points), max_size=len(points)), label="costs")
     support = SupportSet(np.array(points, dtype=float) * 0.25)
     f = CostVector(support, np.array(values))
-    p0 = make_distribution(SupportSet(support.points[:atoms]), raw / raw.sum())
+    return make_distribution(SupportSet(support.points[:atoms]), raw / raw.sum()), f
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=GRID_POINTS, data=st.data(), eps=EPSILONS)
+def test_primal_oracle_across_epsilon(points, data, eps):
+    p0, f = draw_instance(points, data)
     primal = primal_oracle(p0, f, eps)
     assert primal == pytest.approx(float(rational_primal(p0, f, eps)), abs=1e-9)
     assert abs(wasserstein_dual_solve(p0, f, eps).value - primal) <= 1e-6
+
+
+def grid_minimum(objective, hi: float) -> float:
+    """Minimum of a convex function of lam on [0, hi] by repeated grid zooms;
+    never below the true minimum, since every value is a function value."""
+    lo, best = 0.0, math.inf
+    for _ in range(40):
+        grid = np.linspace(lo, hi, 101)
+        values = objective(grid)
+        k = int(np.argmin(values))
+        best = min(best, float(values[k]))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 100)]
+    return best
+
+
+def smoothed_objective(p0, f, eps, eta):
+    atoms, candidates = p0.support.points, f.support.points
+    cmat = ((atoms[:, None, :] - candidates[None, :, :]) ** 2).sum(axis=2)
+
+    def objective(lam):  # (k,) multipliers -> (k,) smoothed dual values
+        z = eta * (f.values[None, None, :] - lam[:, None, None] * cmat[None])
+        top = z.max(axis=2)
+        inner = (top + np.log(np.exp(z - top[..., None]).mean(axis=2))) / eta
+        return eps * lam + inner @ p0.weights
+
+    return objective
+
+
+def kl_objective(p0, f, eps):
+    w = p0.weights
+    values = f.values[match_indices(p0.support.points, f.support)]
+    top = values[w > 0].max()
+    lifted = np.where(w > 0, values - top, 0.0)  # zero-weight atoms add nothing
+
+    def objective(lam):  # top at lam = 0; log1p/expm1 keep large lam exact
+        safe = np.where(lam > 0, lam, 1.0)
+        tilt = np.log1p(np.expm1(lifted[None, :] / safe[:, None]) @ w)
+        return np.where(lam > 0, eps * lam + top + lam * tilt, top)
+
+    return objective
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=GRID_POINTS, data=st.data(), eps=EPSILONS,
+       method=st.sampled_from(["exact", "regularized", "kl"]),
+       eta=st.sampled_from([0.5, 5.0, 50.0]))
+def test_certified_gap_brackets_the_true_minimum(points, data, eps, method, eta):
+    p0, f = draw_instance(points, data)
+    tol = 1e-9 * f.f_max if f.f_max > 0 else 1e-12  # the default tolerance
+    spread = f.f_max - min(f.values.min(), 0.0)
+    if method == "exact":
+        sol = wasserstein_dual_solve(p0, f, eps)
+        truth, slack = primal_oracle(p0, f, eps), 1e-9  # HiGHS feasibility tolerance
+    elif method == "regularized":
+        sol = regularized_dual_solve(p0, f, eps, smoothing=SmoothingConfig(eta))
+        hi = 2.0 * (spread + math.log(len(f.support)) / eta) / eps
+        truth, slack = grid_minimum(smoothed_objective(p0, f, eps, eta), hi), 1e-12
+    else:
+        sol = kl_dual_solve(p0, f, eps)
+        truth, slack = grid_minimum(kl_objective(p0, f, eps), 2.0 * spread / eps), 1e-12
+    assert 0.0 <= sol.gap <= tol
+    assert sol.value - sol.gap <= truth + slack
+    if method == "exact":  # a dual value the search attained is never below the primal
+        assert sol.value >= truth - slack
 
 
 def test_strong_duality_sample():
@@ -395,6 +460,6 @@ def test_kl_value_between_mean_and_max():
         eps = float(rng.choice(EPS_GRID))
         sol = kl_dual_solve(p0, f, eps)
         expected = float(p0.weights @ f.values)
-        # the documented lower bracket clamp can push the value above f_max
-        # by at most eps * bracket_lo
-        assert expected - 1e-9 <= sol.value <= f.f_max + eps * sol.bracket[0] + 1e-9
+        # the search starts at lam = 0, where the objective is the top value
+        assert sol.bracket[0] == 0.0
+        assert expected - 1e-9 <= sol.value <= f.f_max + 1e-9

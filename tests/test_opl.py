@@ -374,6 +374,30 @@ def test_bsgd_runs_above_the_pairwise_limit_in_bounded_memory():
         assert peak <= full_matrix / 4
 
 
+def test_kl_methods_run_above_the_pairwise_limit_without_a_cost_matrix():
+    # the KL dual reads only weights and values, so no N x N costs are built
+    n = 6000
+    assert n * n > MAX_PAIRWISE_CELLS
+    rng = np.random.default_rng(41)
+    support = SupportSet(rng.normal(size=(n, 2)))
+    context_dist = make_distribution(support, rng.dirichlet(np.ones(n)))
+    table = RobustCostTable(rng.random((n, 2)), method="kl", epsilon_c=0.0)
+    grouping = np.arange(n) % 2
+    tracemalloc.start()
+    try:
+        params, value = exact_opl(table, context_dist, grouping, CLAMP, 0.2, method="kl",
+                                  resolution=11)
+        policy = Policy(np.stack([policy_probs(params, x) for x in range(n)]))
+        solution = evaluate_policy(policy, table, context_dist, 0.2, method="kl")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * n * 8 / 4
+    assert solution.value == pytest.approx(value, abs=1e-12)
+    costs = np.einsum("xa,xa->x", policy.probs, table.m_hat)
+    assert context_dist.weights @ costs - 1e-9 <= value <= costs.max() + 1e-9
+
+
 # -- exact grid search ----------------------------------------------------------------
 
 def test_exact_opl_flat_objective_keeps_first_grid_point():
