@@ -54,13 +54,11 @@ from .opl import (
 )
 from .data import (
     BanditDataset,
-    BinningSpec,
     ColumnBinning,
     ContextExtension,
     GroundTruth,
     ShiftSpec,
     SyntheticConfig,
-    indicator_cost,
     load_canonical,
     load_dataset,
     sample_dataset,

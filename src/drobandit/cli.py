@@ -31,7 +31,9 @@ from .compare import (
     value_deltas,
 )
 from .data import (
+    CsvColumns,
     canonical_rate_config,
+    finite_float,
     load_canonical,
     load_dataset,
     save_dataset,
@@ -107,22 +109,13 @@ def _write_manifest(args, argv, inputs, outputs, wall_clock_s, diagnostics=None)
 
 
 def _load_distribution_csv(path) -> DiscreteDistribution:
-    """Distribution file: coordinate columns plus a final `weight` column."""
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "weight" not in reader.fieldnames:
-            raise errors.SchemaMismatch(f"{path} needs a header with a 'weight' column")
-        coord_cols = [c for c in reader.fieldnames if c != "weight"]
-        points, weights = [], []
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                points.append([float(row[c]) for c in coord_cols])
-                weights.append(float(row["weight"]))
-            except ValueError as exc:
-                raise errors.UnparsableRow(line_no, str(exc)) from exc
-    if not points:
-        raise errors.EmptyDataset(f"{path} contains no rows")
-    return make_distribution(SupportSet(np.asarray(points)), weights, pre_normalize=True)
+    """Distribution file: coordinate columns plus a `weight` column."""
+    table = CsvColumns(path)
+    if "weight" not in table.header or len(table.header) < 2:
+        raise errors.SchemaMismatch(f"{path} needs a header with coordinate columns and 'weight'")
+    columns = [c for c in table.header if c != "weight"] + ["weight"]
+    values = np.column_stack(table.expand([(c, finite_float) for c in columns]))
+    return make_distribution(SupportSet(values[:, :-1]), values[:, -1], pre_normalize=True)
 
 
 def _load_bandit_data(args):
@@ -191,17 +184,8 @@ def cmd_radius(args, argv) -> int:
         contexts = dataset.contexts.points[dataset.context_idx]
     else:
         inputs = [args.data]
-        with open(args.data, newline="") as handle:
-            reader = csv.reader(handle)
-            next(reader)  # header
-            try:
-                contexts = np.asarray(
-                    [[float(v) for v in row] for row in reader if row], dtype=np.float64
-                )
-            except ValueError as exc:
-                raise errors.UnparsableRow(0, str(exc)) from exc
-        if contexts.size == 0:
-            raise errors.EmptyDataset(f"{args.data} contains no context rows")
+        table = CsvColumns(args.data)
+        contexts = np.column_stack(table.expand([(c, finite_float) for c in table.header]))
     radius = split_radius_estimate(contexts, seed=args.seed)
     print(f"radius={_fmt(radius)}")
     outputs = []

@@ -5,12 +5,20 @@ explicit context / observation supports. The context support is the full
 cross product of the binned levels seen (plus any declared levels), not just
 the observed combinations, because the robust solvers take suprema over the
 whole known support; an "observed only" mode exists for the sub-support
-approximation used when the cross product is unmanageable.
+approximation used when the cross product is unmanageable. Binning comes
+only from the schema's "binning" key.
+
+Every CSV input is read once, by :class:`CsvColumns`. It rejects a missing
+header, a missing required column, a record with more or fewer fields than
+the header, a file without records, and a value that does not parse (a
+non-finite number, an undeclared categorical value or action label, an
+outcome that is not a yes/no token) with a DataFormatError, exit code 2 in
+the CLI, that names the first bad line.
 """
 from __future__ import annotations
 
 import csv
-import itertools
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -26,14 +34,13 @@ from .errors import (
     EmptyDataset,
     InvalidShift,
     SchemaMismatch,
-    UnparsableOutcome,
     UnparsableRow,
     ValidationError,
 )
 from .ope import CostModel, Policy
 
-_TRUE_TOKENS = {"y", "yes", "true", "t", "1"}
-_FALSE_TOKENS = {"n", "no", "false", "f", "0", ""}
+_EVENT_TOKENS = {**dict.fromkeys(("y", "yes", "true", "t", "1"), True),
+                 **dict.fromkeys(("n", "no", "false", "f", "0", ""), False)}
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,8 @@ class BanditDataset:
         if n == 0:
             raise EmptyDataset("dataset has no records")
         if (
-            self.context_idx.max() >= len(self.contexts)
+            min(self.context_idx.min(), self.action_idx.min(), self.xi_idx.min()) < 0
+            or self.context_idx.max() >= len(self.contexts)
             or self.action_idx.max() >= len(self.actions)
             or self.xi_idx.max() >= len(self.xi_support)
         ):
@@ -93,12 +101,8 @@ def compute_diagnostics(context_idx, action_idx, n_contexts, n_actions) -> Datas
     counts = np.zeros((n_contexts, n_actions), dtype=np.int64)
     np.add.at(counts, (context_idx, action_idx), 1)
     n = int(len(context_idx))
-    pair_counts = {
-        (int(x), int(a)): int(counts[x, a])
-        for x in range(n_contexts)
-        for a in range(n_actions)
-        if counts[x, a] > 0
-    }
+    x, a = np.nonzero(counts)
+    pair_counts = dict(zip(zip(x.tolist(), a.tolist()), counts[x, a].tolist()))
     # zero as soon as any pair of the declared grid was never logged
     min_freq = 0.0 if counts.min() == 0 else float(counts.min()) / n
     return DatasetDiagnostics(min_pair_frequency=min_freq, pair_counts=pair_counts, n=n)
@@ -127,78 +131,115 @@ class ColumnBinning:
             if raw not in self.levels:
                 raise ValueError(f"value {raw!r} not among declared levels")
             return float(self.levels.index(raw))
-        value = float(raw)
-        if self.kind == "fixed_width":
+        value = finite_float(raw)
+        if self.kind == "fixed_width":  # OverflowError if value / width overflows
             return math.floor(value / self.width) * self.width
         return value
 
-    def declared_values(self) -> list:
-        if self.kind == "categorical":
-            return [float(i) for i in range(len(self.levels))]
-        return []
+
+def finite_float(raw: str) -> float:
+    """`float(raw)`, with nan and infinities rejected by ValueError."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r}")
+    return value
 
 
-@dataclass(frozen=True)
-class BinningSpec:
-    rules: dict
-
-    def rule(self, column: str) -> ColumnBinning:
-        return self.rules.get(column, ColumnBinning())
-
-    @staticmethod
-    def from_json(obj: dict | None) -> "BinningSpec":
-        rules = {}
-        for col, spec in (obj or {}).items():
-            rules[col] = ColumnBinning(
-                kind=spec.get("kind", "identity"),
-                width=spec.get("width"),
-                levels=tuple(spec["levels"]) if "levels" in spec else None,
-            )
-        return BinningSpec(rules)
-
-
-def indicator_cost(outcomes: dict, weights: dict) -> float:
-    """Weighted sum of boolean event indicators; y_max is the weight total."""
-    total = 0.0
-    for column, weight in weights.items():
-        raw = outcomes.get(column)
-        if raw is None:
-            raise UnparsableOutcome(f"missing outcome column {column!r}")
-        if isinstance(raw, bool):
-            flag = raw
-        else:
-            token = str(raw).strip().lower()
-            if token in _TRUE_TOKENS:
-                flag = True
-            elif token in _FALSE_TOKENS:
-                flag = False
-            else:
-                raise UnparsableOutcome(f"cannot parse {raw!r} as a boolean event")
-        if flag:
-            total += weight
-    return total
+def _event_cost(weight: float):
+    """Parser of a yes/no outcome into its cost: `weight` on yes, 0 on no."""
+    def parse(raw: str) -> float:
+        token = raw.strip().lower()
+        if token not in _EVENT_TOKENS:
+            raise ValueError(f"cannot parse {raw!r} as a boolean event")
+        return weight if _EVENT_TOKENS[token] else 0.0
+    return parse
 
 
 # -- CSV ingestion ---------------------------------------------------------------
 
-def load_dataset(path, schema: dict, binning: BinningSpec | None = None,
-                 support: str = "full") -> BanditDataset:
+class CsvColumns:
+    """A CSV file read once, column by column.
+
+    Reading checks that the header holds every one of `columns`, that every
+    record has as many fields as the header and that there is a record; blank
+    lines are skipped. Per kept column (`columns`, or all of them) it holds
+    each distinct raw string once, in order of first appearance, and each
+    record's code into those strings.
+    """
+
+    def __init__(self, path, columns=None):
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            self.header = next(reader, None)
+            if self.header is None:
+                raise EmptyDataset(f"{path} has no header row")
+            columns = list(dict.fromkeys(columns or self.header))
+            missing = set(columns) - set(self.header)
+            if missing:
+                raise SchemaMismatch(f"columns missing from {path}: {sorted(missing)}")
+            positions = [self.header.index(column) for column in columns]
+            tables = [{} for _ in columns]
+            codes = [[] for _ in columns]
+            self._lines = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(self.header):
+                    raise UnparsableRow(reader.line_num,
+                                        f"{len(row)} fields, the header has {len(self.header)}")
+                self._lines.append(reader.line_num)
+                for position, table, code in zip(positions, tables, codes):
+                    code.append(table.setdefault(row[position], len(table)))
+        if not self._lines:
+            raise EmptyDataset(f"{path} contains a header but no records")
+        self._columns = {column: (list(table), np.array(code, dtype=np.int64))
+                         for column, table, code in zip(columns, tables, codes)}
+
+    def parse(self, parsers) -> list:
+        """Apply each (column, parse) pair once to every distinct raw string.
+
+        Returns, per pair, the parsed values in order of first appearance and
+        each record's index into them. A string that `parse` rejects with
+        ValueError or OverflowError raises :class:`UnparsableRow` naming the
+        earliest line that holds a rejected string.
+        """
+        parsed, errors = [], []
+        for column, parse in parsers:
+            levels, codes = self._columns[column]
+            values = []
+            for code, raw in enumerate(levels):
+                try:
+                    values.append(parse(raw))
+                except (ValueError, OverflowError) as exc:
+                    line = self._lines[int(np.argmax(codes == code))]
+                    errors.append((line, f"column {column!r}: {exc}"))
+            parsed.append((values, codes))
+        if errors:
+            raise UnparsableRow(*min(errors))
+        return parsed
+
+    def expand(self, parsers) -> list:
+        """:meth:`parse`, with each column's values expanded to one per record."""
+        return [np.asarray(values)[codes] for values, codes in self.parse(parsers)]
+
+
+def load_dataset(path, schema: dict, support: str = "full") -> BanditDataset:
     """Read a raw CSV log into a :class:`BanditDataset`.
 
     `schema` names the context columns, the action column, and either outcome
     columns with `cost_weights` (costs become weighted event-indicator sums)
-    or a single numeric `cost_column`. Binning rules may live under the
-    schema's "binning" key or be passed explicitly. `support="full"` builds
-    the context support as the cross product of per-column levels;
-    `support="observed"` keeps only the combinations actually seen.
+    or a single numeric `cost_column`. Binning rules live under the schema's
+    "binning" key. `support="full"` builds the context support as the cross
+    product of per-column levels; `support="observed"` keeps only the
+    combinations actually seen. Both list points in lexicographic order.
     """
-    if binning is None:
-        binning = BinningSpec.from_json(schema.get("binning"))
     try:
         context_columns = list(schema["context_columns"])
         action_column = schema["action_column"]
     except KeyError as exc:
         raise SchemaMismatch(f"schema is missing {exc}") from exc
+    if not context_columns:
+        raise SchemaMismatch("schema names no context columns")
     outcome_columns = list(schema.get("outcome_columns", []))
     cost_weights = dict(schema.get("cost_weights", {}))
     cost_column = schema.get("cost_column")
@@ -206,90 +247,74 @@ def load_dataset(path, schema: dict, binning: BinningSpec | None = None,
         raise SchemaMismatch("schema needs either cost_column or outcome_columns + cost_weights")
     if support not in ("full", "observed"):
         raise ValidationError(f"support mode must be 'full' or 'observed', got {support!r}")
-
     declared_actions = [str(a) for a in schema.get("actions", [])]
+    binning = schema.get("binning") or {}
+    rules = [ColumnBinning(spec.get("kind", "identity"), spec.get("width"),
+                           tuple(spec["levels"]) if "levels" in spec else None)
+             for spec in (binning.get(column, {}) for column in context_columns)]
 
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise EmptyDataset(f"{path} has no header row")
-        needed = set(context_columns) | {action_column} | set(outcome_columns)
-        if cost_column:
-            needed.add(cost_column)
-        missing = needed - set(reader.fieldnames)
-        if missing:
-            raise SchemaMismatch(f"columns missing from {path}: {sorted(missing)}")
+    def action_label(raw: str) -> str:
+        label = raw.strip()
+        if declared_actions and label not in declared_actions:
+            raise ValueError(f"action label {label!r} not in schema")
+        return label
 
-        rules = [(col, binning.rule(col)) for col in context_columns]
-        binned_rows, action_labels, raw_costs = [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                point = tuple(rule.apply(row[col]) for col, rule in rules)
-            except ValueError as exc:
-                raise UnparsableRow(line_no, str(exc)) from exc
-            label = str(row[action_column]).strip()
-            if declared_actions and label not in declared_actions:
-                raise UnparsableRow(line_no, f"action label {label!r} not in schema")
-            if cost_column is not None:
-                try:
-                    cost = float(row[cost_column])
-                except ValueError as exc:
-                    raise UnparsableRow(line_no, f"bad cost value {row[cost_column]!r}") from exc
-            else:
-                try:
-                    cost = indicator_cost({c: row[c] for c in outcome_columns}, cost_weights)
-                except UnparsableOutcome as exc:
-                    raise UnparsableRow(line_no, str(exc)) from exc
-            binned_rows.append(point)
-            action_labels.append(label)
-            raw_costs.append(cost)
+    cost_parsers = ([(cost_column, finite_float)] if cost_column is not None
+                    else [(column, _event_cost(w)) for column, w in cost_weights.items()])
+    table = CsvColumns(path, context_columns + [action_column] + outcome_columns
+                       + [column for column, _ in cost_parsers])
+    parsed = table.parse([(column, rule.apply) for column, rule in zip(context_columns, rules)]
+                         + [(action_column, action_label)] + cost_parsers)
+    d = len(context_columns)
+    (labels, action_codes), cost_parsed = parsed[d], parsed[d + 1:]
 
-    if not binned_rows:
-        raise EmptyDataset(f"{path} contains a header but no records")
-
-    actions = tuple(declared_actions) if declared_actions else tuple(
-        sorted(set(action_labels))
-    )
-    action_index = {a: i for i, a in enumerate(actions)}
-
-    # per-column levels: observed plus declared (categorical) levels
+    # per-column levels (observed plus declared) and each record's level code
+    levels, level_codes = [], []
+    for rule, (values, codes) in zip(rules, parsed[:d]):
+        values = np.asarray(values, dtype=np.float64)
+        declared = np.arange(len(rule.levels)) if rule.kind == "categorical" else []
+        levels.append(np.unique(np.concatenate([values, declared])))
+        level_codes.append(np.searchsorted(levels[-1], values)[codes])
     if support == "full":
-        levels = []
-        for j, (_, rule) in enumerate(rules):
-            seen = {pt[j] for pt in binned_rows} | set(rule.declared_values())
-            levels.append(sorted(seen))
-        all_points = [tuple(p) for p in itertools.product(*levels)]
+        context_idx = np.ravel_multi_index(level_codes, [len(lv) for lv in levels])
+        grid = np.meshgrid(*levels, indexing="ij")
+        points = np.stack([g.ravel() for g in grid], axis=1)
     else:
-        all_points = sorted(set(binned_rows))
-    context_support = SupportSet(np.asarray(all_points, dtype=np.float64))
-    point_index = {pt: i for i, pt in enumerate(all_points)}
+        seen, context_idx = np.unique(np.stack(level_codes, axis=1), axis=0,
+                                      return_inverse=True)
+        points = np.stack([lv[c] for lv, c in zip(levels, seen.T)], axis=1)
 
-    if cost_column is not None:
-        y_max = float(schema.get("y_max", max(raw_costs)))
-    else:
-        y_max = float(schema.get("y_max", sum(cost_weights.values())))
+    actions = tuple(declared_actions) if declared_actions else tuple(sorted(set(labels)))
+    action_index = {a: i for i, a in enumerate(actions)}
+    action_idx = np.array([action_index[label] for label in labels], dtype=np.int64)
 
-    xi_values = sorted(set(raw_costs))
-    xi_support = SupportSet.from_scalars(xi_values)
-    xi_index = {v: i for i, v in enumerate(xi_values)}
+    # summed in schema order, as a per-record loop adding each weight would
+    costs = functools.reduce(np.add, (np.asarray(values, dtype=np.float64)[codes]
+                                      for values, codes in cost_parsed))
+    y_max = float(schema.get("y_max", costs.max() if cost_column is not None
+                             else sum(cost_weights.values())))
+    xi_values, xi_idx = np.unique(costs, return_inverse=True)
 
     return BanditDataset(
-        context_idx=np.array([point_index[pt] for pt in binned_rows]),
-        action_idx=np.array([action_index[a] for a in action_labels]),
-        xi_idx=np.array([xi_index[c] for c in raw_costs]),
-        costs=np.array(raw_costs),
-        contexts=context_support,
+        context_idx=context_idx,
+        action_idx=action_idx[action_codes],
+        xi_idx=xi_idx,
+        costs=costs,
+        contexts=SupportSet(points),
         actions=actions,
-        xi_support=xi_support,
+        xi_support=SupportSet.from_scalars(xi_values),
         y_max=y_max,
     )
+
+
+_CANONICAL_COLUMNS = ("context_index", "action_index", "xi_index", "cost")
 
 
 def save_dataset(dataset: BanditDataset, path) -> None:
     """Write the canonical CSV plus a JSON sidecar describing the supports."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["context_index", "action_index", "xi_index", "cost"])
+        writer.writerow(_CANONICAL_COLUMNS)
         for x, a, k, c in zip(dataset.context_idx, dataset.action_idx,
                               dataset.xi_idx, dataset.costs):
             writer.writerow([int(x), int(a), int(k), repr(float(c))])
@@ -315,24 +340,13 @@ def load_canonical(path) -> BanditDataset:
             sidecar = json.load(handle)
     except FileNotFoundError as exc:
         raise SchemaMismatch(f"missing sidecar {sidecar_path(path)}") from exc
-    rows = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                rows.append(
-                    (int(row["context_index"]), int(row["action_index"]),
-                     int(row["xi_index"]), float(row["cost"]))
-                )
-            except (KeyError, ValueError) as exc:
-                raise UnparsableRow(line_no, str(exc)) from exc
-    if not rows:
-        raise EmptyDataset(f"{path} contains no records")
+    context_idx, action_idx, xi_idx, costs = CsvColumns(path, _CANONICAL_COLUMNS).expand(
+        [(column, int) for column in _CANONICAL_COLUMNS[:3]] + [("cost", finite_float)])
     return BanditDataset(
-        context_idx=np.array([r[0] for r in rows]),
-        action_idx=np.array([r[1] for r in rows]),
-        xi_idx=np.array([r[2] for r in rows]),
-        costs=np.array([r[3] for r in rows]),
+        context_idx=context_idx,
+        action_idx=action_idx,
+        xi_idx=xi_idx,
+        costs=costs,
         contexts=SupportSet(np.asarray(sidecar["contexts"], dtype=np.float64)),
         actions=tuple(sidecar["actions"]),
         xi_support=SupportSet(np.asarray(sidecar["xi_support"], dtype=np.float64)),

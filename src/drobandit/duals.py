@@ -204,6 +204,7 @@ def smoothed_inner_values(lam, values: np.ndarray, cost_matrix: np.ndarray,
     z *= eta
     top = z.max(axis=-1)
     z -= top[..., None]
+    np.maximum(z, -700.0, out=z)  # the kernel's floor: no subnormal exp()
     return top / eta + np.log(np.mean(np.exp(z, out=z), axis=-1)) / eta
 
 

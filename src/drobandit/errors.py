@@ -141,9 +141,5 @@ class EmptyDataset(DataFormatError):
     pass
 
 
-class UnparsableOutcome(DataFormatError):
-    pass
-
-
 class InvalidShift(ValidationError):
     pass

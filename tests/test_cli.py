@@ -85,6 +85,12 @@ def test_distance_missing_file_is_io_error(tmp_path):
                  "--q", str(tmp_path / "nope.csv")]) == 2
 
 
+def test_distance_file_without_coordinates_exits_2(tmp_path):
+    p = tmp_path / "w.csv"
+    p.write_text("weight\n0.5\n0.5\n")
+    assert main(["distance", "--p", str(p), "--q", str(p)]) == 2
+
+
 # -- radius --------------------------------------------------------------------------
 
 def test_radius_finite_on_raw_contexts(tmp_path, capsys):
@@ -94,6 +100,62 @@ def test_radius_finite_on_raw_contexts(tmp_path, capsys):
     assert main(["radius", "--data", str(data), "--seed", "4", "--out", str(out)]) == 0
     radius = float(read_rows(out)[0]["radius"])
     assert math.isfinite(radius) and radius >= 0
+
+
+# -- malformed input -----------------------------------------------------------------
+
+RAW_SCHEMA = {"context_columns": ["x", "age"], "action_column": "arm", "cost_column": "cost",
+              "binning": {"age": {"kind": "fixed_width", "width": 10}}}
+CANONICAL_SIDECAR = {"contexts": [[0.0], [1.0]], "actions": ["a0", "a1"],
+                     "xi_support": [[0.0], [1.0]], "y_max": 1.0}
+
+
+def raw_ope(tmp_path, rows):
+    data, schema = tmp_path / "raw.csv", tmp_path / "schema.json"
+    data.write_text("x,age,arm,cost\n0,61,drug,0.5\n" + rows + "\n")
+    schema.write_text(json.dumps(RAW_SCHEMA))
+    return ["ope", "--data", str(data), "--config", str(schema), "--impute-missing-ymax"]
+
+
+def canonical_ope(tmp_path, rows):
+    data = tmp_path / "canon.csv"
+    data.write_text("context_index,action_index,xi_index,cost\n" + rows + "\n")
+    (tmp_path / "canon.csv.meta.json").write_text(json.dumps(CANONICAL_SIDECAR))
+    return ["ope", "--data", str(data)]
+
+
+def distance(tmp_path, rows):
+    p = tmp_path / "p.csv"
+    p.write_text("x0,weight\n0.0,0.5\n" + rows + "\n")
+    return ["distance", "--p", str(p), "--q", str(p)]
+
+
+def raw_radius(tmp_path, rows):
+    data = tmp_path / "ctx.csv"
+    data.write_text("x\n0\n1\n" + rows + "\n")
+    return ["radius", "--data", str(data)]
+
+
+@pytest.mark.parametrize("command, rows, line", [
+    (raw_ope, "1,70,control", 3),
+    (canonical_ope, "0,0,0,0.0\n1,1", 3),
+    (distance, "1.0", 3),
+    (raw_ope, "1,70,control,0.5\nnan,70,drug,0.5", 4),
+    (raw_ope, "inf,70,control,0.5", 3),
+    (raw_ope, "1,inf,control,0.5", 3),
+    (raw_radius, "2\nabc", 5),
+], ids=["ope-short-row", "canonical-short-row", "distance-short-row", "context-nan",
+        "context-inf", "fixed-width-inf", "radius-unparsable"])
+def test_malformed_input_exits_2_naming_its_line(tmp_path, capsys, command, rows, line):
+    assert main(command(tmp_path, rows)) == 2
+    assert f"error: line {line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_row", ["-1,0,0,0.0", "0,-1,0,0.0"], ids=["context", "action"])
+def test_negative_canonical_index_exits_3(tmp_path, capsys, bad_row):
+    rows = "0,0,0,0.0\n0,1,1,1.0\n1,0,0,0.0\n1,1,1,1.0\n" + bad_row
+    assert main(canonical_ope(tmp_path, rows)) == 3
+    assert "outside the declared supports" in capsys.readouterr().err
 
 
 # -- ope -----------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import csv
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +8,6 @@ import pytest
 from drobandit import (
     DiscreteDistribution,
     SupportSet,
-    indicator_cost,
     kl_divergence,
     load_canonical,
     load_dataset,
@@ -23,7 +24,7 @@ from drobandit.data import (
     canonical_rate_config,
     synthetic_config_from_json,
 )
-from drobandit.errors import InvalidShift, SchemaMismatch, UnparsableOutcome, UnparsableRow
+from drobandit.errors import InvalidShift, SchemaMismatch, UnparsableRow
 
 TOY_SCHEMA = {
     "context_columns": ["risk"],
@@ -140,13 +141,158 @@ def test_schema_mismatch(tmp_path):
         load_dataset(data, TOY_SCHEMA)
 
 
-def test_indicator_cost_examples():
-    weights = {"ISC14": 1.0, "PE14": 1.0, "DDEAD": 3.0}
-    assert indicator_cost({"ISC14": "N", "PE14": "N", "DDEAD": "N"}, weights) == 0.0
-    assert indicator_cost({"ISC14": "N", "PE14": "N", "DDEAD": "Y"}, weights) == 3.0
-    assert indicator_cost({"ISC14": "Y", "PE14": "Y", "DDEAD": "N"}, weights) == 2.0
-    with pytest.raises(UnparsableOutcome):
-        indicator_cost({"ISC14": "maybe", "PE14": "N", "DDEAD": "N"}, weights)
+def test_indicator_costs_during_load(tmp_path):
+    schema = {
+        "context_columns": ["x"],
+        "action_column": "a",
+        "outcome_columns": ["ISC14", "PE14", "DDEAD"],
+        "cost_weights": {"ISC14": 1.0, "PE14": 1.0, "DDEAD": 3.0},
+    }
+    data = write_csv(
+        tmp_path / "events.csv",
+        """
+x,a,ISC14,PE14,DDEAD
+0,drug,N,N,N
+0,drug,N,N,Y
+0,drug,Y,Y,N
+""",
+    )
+    assert load_dataset(data, schema).costs.tolist() == [0.0, 3.0, 2.0]
+    bad = write_csv(tmp_path / "maybe.csv", "x,a,ISC14,PE14,DDEAD\n0,drug,N,N,N\n0,drug,maybe,N,N")
+    with pytest.raises(UnparsableRow, match="line 3"):
+        load_dataset(bad, schema)
+
+
+# -- the column-wise loader against a per-row reading of the same log ----------
+
+_YES = {"y", "yes", "true", "t", "1"}
+
+
+def reference_load(path, schema, support):
+    """Per-row reading: bin each record, index its point tuple in the support."""
+    binning = schema.get("binning", {})
+
+    def bin_value(column, raw):
+        rule = binning.get(column, {})
+        if rule.get("kind") == "categorical":
+            return float(rule["levels"].index(raw))
+        if rule.get("kind") == "fixed_width":
+            return math.floor(float(raw) / rule["width"]) * rule["width"]
+        return float(raw)
+
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    columns = schema["context_columns"]
+    points = [tuple(bin_value(c, row[c]) for c in columns) for row in rows]
+    labels = [row[schema["action_column"]].strip() for row in rows]
+    if "cost_column" in schema:
+        costs = [float(row[schema["cost_column"]]) for row in rows]
+    else:
+        costs = []
+        for row in rows:
+            total = 0.0
+            for column, weight in schema["cost_weights"].items():
+                if row[column].strip().lower() in _YES:
+                    total += weight
+            costs.append(total)
+    if support == "full":
+        levels = []
+        for j, column in enumerate(columns):
+            seen = {p[j] for p in points}
+            if binning.get(column, {}).get("kind") == "categorical":
+                seen |= {float(i) for i in range(len(binning[column]["levels"]))}
+            levels.append(sorted(seen))
+        support_points = list(itertools.product(*levels))
+    else:
+        support_points = sorted(set(points))
+    point_index = {p: i for i, p in enumerate(support_points)}
+    actions = tuple(schema.get("actions") or sorted(set(labels)))
+    xi_values = sorted(set(costs))
+    xi_index = {v: i for i, v in enumerate(xi_values)}
+    context_idx = [point_index[p] for p in points]
+    action_idx = [actions.index(label) for label in labels]
+    pairs = {}
+    for x, a in zip(context_idx, action_idx):
+        pairs[(x, a)] = pairs.get((x, a), 0) + 1
+    return {
+        "context_idx": context_idx,
+        "action_idx": action_idx,
+        "xi_idx": [xi_index[c] for c in costs],
+        "costs": costs,
+        "contexts": support_points,
+        "actions": actions,
+        "xi_support": xi_values,
+        "pair_counts": dict(sorted(pairs.items())),
+    }
+
+
+def write_mixed_log(path, rng, rows=400):
+    """Identity, fixed-width (negative values too) and categorical columns;
+    categorical level "D" is declared but never written."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["score", "age", "grade", "arm", "event", "death", "cost"])
+        for _ in range(rows):
+            writer.writerow([
+                repr(float(rng.integers(-4, 5)) / 4),
+                repr(float(np.round(rng.uniform(-20.0, 90.0), 1))),
+                "ABC"[rng.integers(3)],
+                ["drug", " drug", "control"][rng.integers(3)],
+                ["Y", "n", "yes", "0", ""][rng.integers(5)],
+                ["N", "t", "false", "1"][rng.integers(4)],
+                repr(float(rng.integers(0, 9)) / 8),
+            ])
+    return str(path)
+
+
+MIXED_BINNING = {
+    "age": {"kind": "fixed_width", "width": 7.5},
+    "grade": {"kind": "categorical", "levels": ["A", "B", "C", "D"]},
+}
+MIXED_SCHEMAS = (
+    {"context_columns": ["score", "age", "grade"], "action_column": "arm",
+     "actions": ["control", "drug"], "outcome_columns": ["event", "death"],
+     "cost_weights": {"death": 3.0, "event": 1.0}, "binning": MIXED_BINNING},
+    {"context_columns": ["grade", "score", "age"], "action_column": "arm",
+     "cost_column": "cost", "binning": MIXED_BINNING},
+)
+
+
+@pytest.mark.parametrize("support", ["full", "observed"])
+@pytest.mark.parametrize("schema", MIXED_SCHEMAS, ids=["cost_weights", "cost_column"])
+def test_load_dataset_matches_per_row_reference(tmp_path, schema, support):
+    path = write_mixed_log(tmp_path / "mixed.csv", np.random.default_rng(17))
+    ds = load_dataset(path, schema, support=support)
+    ref = reference_load(path, schema, support)
+    assert ds.context_idx.tolist() == ref["context_idx"]
+    assert ds.action_idx.tolist() == ref["action_idx"]
+    assert ds.xi_idx.tolist() == ref["xi_idx"]
+    assert ds.costs.tolist() == ref["costs"]
+    assert ds.contexts.points.tolist() == [list(p) for p in ref["contexts"]]
+    assert ds.actions == ref["actions"]
+    assert ds.xi_support.points[:, 0].tolist() == ref["xi_support"]
+    assert ds.diagnostics.pair_counts == ref["pair_counts"]
+    grade = schema["context_columns"].index("grade")
+    assert (3.0 in ds.contexts.points[:, grade]) == (support == "full")
+
+
+@pytest.mark.parametrize("row, line", [
+    ("0,drug,N", 3),                # short row
+    ("0,drug,N,N,N", 3),            # long row
+    ("nan,drug,N,N", 3),            # non-finite context value
+    ("0,drug,N,maybe", 3),          # unparsable outcome
+])
+def test_malformed_record_names_its_line(tmp_path, row, line):
+    data = write_csv(tmp_path / "bad.csv", f"risk,treatment,event,death\n1,control,N,N\n{row}\n0,drug,Y,Y")
+    with pytest.raises(UnparsableRow, match=f"^line {line}:"):
+        load_dataset(data, TOY_SCHEMA)
+
+
+def test_earliest_bad_line_across_columns(tmp_path):
+    data = write_csv(tmp_path / "bad.csv", "risk,treatment,event,death\n1,control,N,N\n"
+                     "0,drug,N,maybe\n1,placebo,N,N\ninf,drug,N,N")
+    with pytest.raises(UnparsableRow, match="^line 3:"):
+        load_dataset(data, TOY_SCHEMA)
 
 
 def test_round_trip_canonical(tmp_path):

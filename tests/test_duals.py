@@ -20,7 +20,7 @@ from drobandit import (
     wasserstein_dual_solve,
 )
 from drobandit.distributions import match_indices
-from drobandit.duals import convex_minimize
+from drobandit.duals import convex_minimize, smoothed_inner_values
 from drobandit.errors import (
     EmptyInput,
     InfeasiblePrimal,
@@ -175,6 +175,20 @@ def test_lse_validation():
 
 
 # -- smoothed dual ------------------------------------------------------------------
+
+def test_smoothed_inner_values_floor_leaves_values_unchanged():
+    rng = np.random.default_rng(5)
+    points = rng.uniform(0.0, 10.0, size=(40, 2))
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(points[:25], points)
+    values, eta = rng.random(40), 10.0
+    for lam in (0.5, 20.0):
+        z = eta * (values[None, :] - lam * cmat)
+        top = z.max(axis=1)
+        z -= top[:, None]
+        assert z.min() < -708.0  # exp() would reach subnormals or zero
+        unfloored = top / eta + np.log(np.mean(np.exp(z), axis=1)) / eta
+        assert np.array_equal(smoothed_inner_values(lam, values, cmat, eta), unfloored)
+
 
 def test_regularized_large_eta_matches_exact():
     sol = regularized_dual_solve(UNIFORM01, STEP_COST, 0.25, smoothing=SmoothingConfig(1e4))
