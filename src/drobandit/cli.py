@@ -6,7 +6,9 @@ seed, tool version and input digests; `drobandit rerun MANIFEST` replays the
 recorded argv and reproduces the output files byte for byte. Timing lives in
 the manifest and on stdout, never inside output CSVs; so do the diagnostics
 `ope` records (the outer solve's evaluations, lambda*, bracket and certified
-gap, the minimum pair frequency and the number of imputed pairs).
+gap, the minimum pair frequency, the number of imputed pairs, the context
+support size and which cost kernel the outer dual used: "grid", "dense" or
+"none").
 
 Exit codes: 0 success, 2 I/O or file-format problems, 3 validation problems,
 4 numerical failures.
@@ -46,7 +48,8 @@ from .distributions import (
     kl_divergence,
     make_distribution,
 )
-from .ope import CostModel, Policy, evaluate_policy, rate_experiment, robust_cost_table
+from .ope import (CostModel, Policy, cost_kernel, evaluate_policy, rate_experiment,
+                  robust_cost_table)
 from .opl import (
     BsgdConfig,
     Parameterization,
@@ -250,6 +253,8 @@ def cmd_ope(args, argv) -> int:
                         "bracket": list(solution.bracket), "gap": solution.gap},
         "min_pair_frequency": coverage.min_pair_frequency,
         "imputed_pairs": table.m_hat.size - len(coverage.pair_counts),
+        "support_size": len(context_dist.support),
+        "cost_kernel": cost_kernel(context_dist.support.points, method),
     }
     _write_manifest(args, argv, inputs, outputs, wall, diagnostics)
     return 0

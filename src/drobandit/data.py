@@ -32,12 +32,14 @@ from .distributions import (
 )
 from .errors import (
     EmptyDataset,
+    InstanceTooLarge,
     InvalidShift,
     SchemaMismatch,
     UnparsableRow,
     ValidationError,
 )
 from .ope import CostModel, Policy
+from .transport import MAX_PAIRWISE_CELLS
 
 _EVENT_TOKENS = {**dict.fromkeys(("y", "yes", "true", "t", "1"), True),
                  **dict.fromkeys(("n", "no", "false", "f", "0", ""), False)}
@@ -230,8 +232,10 @@ def load_dataset(path, schema: dict, support: str = "full") -> BanditDataset:
     columns with `cost_weights` (costs become weighted event-indicator sums)
     or a single numeric `cost_column`. Binning rules live under the schema's
     "binning" key. `support="full"` builds the context support as the cross
-    product of per-column levels; `support="observed"` keeps only the
-    combinations actually seen. Both list points in lexicographic order.
+    product of per-column levels, and raises :class:`InstanceTooLarge` when
+    it would exceed `transport.MAX_PAIRWISE_CELLS` points; `support="observed"`
+    keeps only the combinations actually seen. Both list points in
+    lexicographic order.
     """
     try:
         context_columns = list(schema["context_columns"])
@@ -276,6 +280,10 @@ def load_dataset(path, schema: dict, support: str = "full") -> BanditDataset:
         levels.append(np.unique(np.concatenate([values, declared])))
         level_codes.append(np.searchsorted(levels[-1], values)[codes])
     if support == "full":
+        size = math.prod(len(lv) for lv in levels)
+        if size > MAX_PAIRWISE_CELLS:
+            raise InstanceTooLarge(f"the full context support has {size} points, more than "
+                                   f"{MAX_PAIRWISE_CELLS}; try support='observed'")
         context_idx = np.ravel_multi_index(level_codes, [len(lv) for lv in levels])
         grid = np.meshgrid(*levels, indexing="ij")
         points = np.stack([g.ravel() for g in grid], axis=1)

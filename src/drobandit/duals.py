@@ -41,7 +41,7 @@ from .errors import (
     NonPositiveEta,
     NumericalError,
 )
-from .transport import GroundCost, solve_max_lp
+from .transport import GridCost, GroundCost, solve_max_lp
 
 _MACHINE_EPS = float(np.finfo(np.float64).eps)
 
@@ -290,20 +290,149 @@ def _transport_objective(weights, values, cost_matrix, epsilon, eta, problems):
     return objective
 
 
+# -- per-axis kernels on a Cartesian grid ----------------------------------------
+# With atoms and candidates the same grid, c(x, zeta) = sum_k (x_k - zeta_k)^2,
+# so the inner max over zeta is a max over zeta_d, then over zeta_{d-1}, ...,
+# each of one axis' term (Felzenszwalb & Huttenlocher, Distance Transforms of
+# Sampled Functions, 2012), and the log-sum-exp nests the same way (Solomon et
+# al., Convolutional Wasserstein Distances, 2015).
+
+def _stage_source(a, shape, after, rest):
+    """Stage output `a` as the source of a stage of `shape`, its last axis the
+    grid axis being reduced: the cells of the axes ahead of it in grid order
+    hold candidate levels, the `after` cells of the axes behind it atom
+    levels. Shape (P, before, 1, after, n), or, on the first axis,
+    (P, atoms, n) at the atoms' behind-cells `rest`."""
+    if rest is None:
+        return a.reshape(shape[:3] + (after,)).transpose(0, 1, 3, 2)[:, :, None]
+    return a.reshape(len(a), shape[-1], after)[:, :, rest].transpose(0, 2, 1)
+
+
+def _exact_stage(z, axis_cost, carried, spare):
+    # max over the last axis; carried: cost of the axes behind at the argmax
+    star = z.argmax(axis=-1)[..., None]
+    cost = np.take_along_axis(np.broadcast_to(axis_cost, z.shape), star, axis=-1)[..., 0]
+    if carried is not None:
+        cost += np.take_along_axis(np.broadcast_to(carried[0], z.shape), star, axis=-1)[..., 0]
+    return np.take_along_axis(z, star, axis=-1)[..., 0], (cost,)
+
+
+def _smoothed_stage(z, axis_cost, carried, spare):
+    # log-sum-exp over the last axis with the dense kernel's floor; carried:
+    # mean and variance of the cost of the axes behind under their softmax,
+    # combined with this axis' term by the laws of total expectation and variance
+    top = z.max(axis=-1)
+    z -= top[..., None]
+    np.maximum(z, -700.0, out=z)
+    np.exp(z, out=z)
+    total = z.sum(axis=-1)
+    value = top + np.log(total)
+    if spare is None:
+        return value, None
+    t = spare[: z.size].reshape(z.shape)
+    np.add(axis_cost, 0.0 if carried is None else carried[0], out=t)
+    mean = np.einsum("...j,...j->...", z, t) / total
+    t -= mean[..., None]
+    np.square(t, out=t)
+    if carried is not None:
+        t += carried[1]
+    return value, (mean, np.einsum("...j,...j->...", z, t) / total)
+
+
+def _grid_pass(lam, values, axis_costs, rows, buffers, eta=None, moments=True):
+    """Inner max (`eta` None) or log-sum-exp of values - lam * c over a grid.
+
+    `values` (P, N) holds each problem's candidate values in grid order and
+    `lam` (P,) its multiplier, both times eta when smoothed; `axis_costs`
+    are :meth:`GridCost.axis_costs`. The axes are reduced last first: axis
+    k's stage forms the (P, N, n_k) array of the last stage's values minus
+    lam * (l_x - l_zeta)^2 in `buffers[0]` and reduces it over zeta_k; the
+    first axis' stage is formed at the atoms `rows` only. Returns, per problem
+    and atom of `rows`, the exact inner value and (cost at the argmax,), or
+    the log of the sum (not the mean) of the exponentials and (mean,
+    variance) of the cost under the softmax, which take `buffers[1]`; no
+    moments unless `moments`.
+    """
+    stage = _exact_stage if eta is None else _smoothed_stage
+    v, stats, after = values, None, 1
+    for k in reversed(range(len(axis_costs))):
+        n = len(axis_costs[k])
+        if k:
+            rest, axis_cost = None, axis_costs[k][:, None, :]
+            shape = (len(v), values.shape[1] // (n * after), n, after, n)
+        else:
+            atom, rest = np.divmod(rows, after)
+            axis_cost, shape = axis_costs[0][atom], (len(v), len(rows), n)
+        z = buffers[0][: math.prod(shape)].reshape(shape)
+        np.multiply(lam.reshape((-1,) + (1,) * (len(shape) - 1)), axis_cost, out=z)
+        np.subtract(_stage_source(v, shape, after, rest), z, out=z)
+        carried = None if stats is None else [_stage_source(s, shape, after, rest)
+                                              for s in stats]
+        v, stats = stage(z, axis_cost, carried, buffers[1] if moments and eta else None)
+        after *= n
+    return v, stats
+
+
+def _grid_objective(weights, rows, values, grid, epsilon, eta, problems):
+    """:func:`_transport_objective` on a :class:`GridCost`, the atoms of
+    positive weight being `rows`: the same values, slopes and curvatures from
+    one axis-by-axis pass (:func:`_grid_pass`) per evaluation. The exact slope
+    takes the cost at the stages' argmax, a subgradient like the dense one;
+    they differ only where the argmax ties."""
+    axis_costs = grid.axis_costs()
+    buffers = np.empty((1 if eta is None else 2, problems * grid.stage_cells))
+    if eta is not None:
+        values, log_n = eta * values, math.log(grid.shape[0])
+
+    def objective(index, lam):
+        w = weights[index]
+        if eta is None:
+            inner, (cost,) = _grid_pass(lam, values[index], axis_costs, rows, buffers)
+            return (epsilon * lam + np.einsum("ki,ki->k", w, inner),
+                    epsilon - np.einsum("ki,ki->k", w, cost), np.zeros(len(index)))
+        inner, (mean, spread) = _grid_pass(eta * lam, values[index], axis_costs, rows, buffers,
+                                           eta)
+        return (epsilon * lam + np.einsum("ki,ki->k", w, inner - log_n) / eta,
+                epsilon - np.einsum("ki,ki->k", w, mean),
+                eta * np.einsum("ki,ki->k", w, spread))
+
+    return objective
+
+
+def grid_smoothed_inner_values(lam: float, values, grid: GridCost, rows, eta: float):
+    """:func:`smoothed_inner_values` for one multiplier and value vector on a
+    :class:`GridCost`, at the grid atoms `rows`, computed axis by axis."""
+    inner, _ = _grid_pass(np.array([eta * lam]), eta * np.asarray(values, dtype=np.float64)[None],
+                          grid.axis_costs(), np.asarray(rows), np.empty((1, grid.stage_cells)),
+                          eta, moments=False)
+    return (inner[0] - math.log(grid.shape[0])) / eta
+
+
+def problem_cells(cost_matrix) -> int:
+    """Cells one problem adds to a batched step's temporary: the matrix's size,
+    or a :class:`GridCost`'s `stage_cells`."""
+    return cost_matrix.stage_cells if isinstance(cost_matrix, GridCost) else cost_matrix.size
+
+
 def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
                           eta=None, plugin=None) -> DualBatch:
     """Transport-ball duals of P problems that share one cost matrix.
 
     Row p of `weights` (P, atoms) and `values` (P, candidates) is a problem;
-    `cost_matrix[i, j]` is the cost from atom i to candidate j; `eta=None` is
-    the exact dual, a positive `eta` the smoothed one. Problems are solved in
-    lockstep by :func:`convex_minimize` per block of at most `_BLOCK_CELLS`
-    problem-atom-candidate cells, without the atoms weightless in the whole
-    block, each to a certified gap of at most `tol`. `plugin` (epsilon = 0)
-    defaults to row-wise weights . values, right when atoms are the candidates.
+    `cost_matrix[i, j]` is the cost from atom i to candidate j, or a
+    :class:`~drobandit.transport.GridCost` when atoms and candidates are the
+    same grid, whose inner steps then run axis by axis (:func:`_grid_pass`);
+    `eta=None` is the exact dual, a positive `eta` the smoothed one. Problems
+    are solved in lockstep by :func:`convex_minimize` per block of at most
+    `_BLOCK_CELLS` cells (:func:`problem_cells` per problem), without the
+    atoms weightless in the whole block, each to a certified gap of at most
+    `tol`. `plugin` (epsilon = 0) defaults to row-wise weights . values, right
+    when atoms are the candidates.
     """
-    weights, values, cost_matrix = (np.asarray(v, dtype=np.float64)
-                                    for v in (weights, values, cost_matrix))
+    weights, values = np.asarray(weights, dtype=np.float64), np.asarray(values, dtype=np.float64)
+    grid = isinstance(cost_matrix, GridCost)
+    if not grid:
+        cost_matrix = np.asarray(cost_matrix, dtype=np.float64)
     f_max = values.max(axis=1)
     tol = _tolerances(epsilon, tol, f_max)
     if epsilon == 0:
@@ -317,12 +446,15 @@ def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
     slack = 0.0 if eta is None else math.log(values.shape[1]) / eta
     hi = (shifted.max(axis=1) + slack) / epsilon
     lam, value, gap, evals = np.empty((4, len(values)))
-    step = max(1, _BLOCK_CELLS // max(cost_matrix.size, 1))
+    step = max(1, _BLOCK_CELLS // max(problem_cells(cost_matrix), 1))
     for block in (slice(s, s + step) for s in range(0, len(values), step)):
         atoms = weights[block].any(axis=0)
-        objective = _transport_objective(weights[block][:, atoms], shifted[block],
-                                         cost_matrix[atoms], epsilon, eta,
-                                         len(values[block]))
+        problems = len(values[block])
+        objective = (_grid_objective(weights[block][:, atoms], np.flatnonzero(atoms),
+                                     shifted[block], cost_matrix, epsilon, eta, problems)
+                     if grid else
+                     _transport_objective(weights[block][:, atoms], shifted[block],
+                                          cost_matrix[atoms], epsilon, eta, problems))
         lam[block], value[block], gap[block], evals[block] = convex_minimize(
             objective, hi[block], tol[block])
     return DualBatch(lam, value + shift, evals.astype(np.int64), hi, gap)

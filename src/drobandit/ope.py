@@ -25,7 +25,7 @@ from .errors import (
     PolicyContextMismatch,
     ValidationError,
 )
-from .transport import GroundCost
+from .transport import GridCost, GroundCost, grid_levels
 
 METHODS = ("exact", "regularized", "kl")
 
@@ -128,8 +128,8 @@ class RobustCostTable:
 
 
 def solve_shared_support(weights: np.ndarray, values: np.ndarray,
-                         cost_matrix: np.ndarray | None, epsilon: float, method: str,
-                         eta: float | None = None,
+                         cost_matrix: np.ndarray | GridCost | None, epsilon: float,
+                         method: str, eta: float | None = None,
                          tol: float | None = None) -> DualSolution | DualBatch:
     """Dispatch to the chosen dual solver; atoms and candidates coincide.
     1-d `weights` and `values` give a DualSolution, (P, n) arrays a DualBatch.
@@ -146,10 +146,25 @@ def solve_shared_support(weights: np.ndarray, values: np.ndarray,
     raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def _shared_costs(points, method: str) -> np.ndarray | None:
+def cost_kernel(points, method: str) -> str:
+    """How the duals of `method` on `points` read the ground cost: "none" (the
+    KL dual reads none), "grid" (per-axis, `points` a Cartesian grid, see
+    :func:`~drobandit.transport.grid_levels`) or "dense" (the N x N matrix)."""
+    if method == "kl":
+        return "none"
+    return "dense" if grid_levels(points) is None else "grid"
+
+
+def _shared_costs(points, method: str) -> np.ndarray | GridCost | None:
     """Squared-Euclidean costs between all pairs of `points`, for the transport
-    methods; the KL dual reads no costs, so it gets None and no N x N matrix."""
-    return None if method == "kl" else GroundCost.SQUARED_EUCLIDEAN.pairwise(points, points)
+    methods: a :class:`GridCost` of the per-axis levels when the points form a
+    grid, else the N x N matrix. The KL dual reads no costs, so it gets None."""
+    if method == "kl":
+        return None
+    levels = grid_levels(points)
+    if levels is None:
+        return GroundCost.SQUARED_EUCLIDEAN.pairwise(points, points)
+    return GridCost(levels)
 
 
 def robust_cost_table(dataset, cost_model: CostModel, epsilon_c: float,

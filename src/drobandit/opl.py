@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, SupportSet
-from .duals import _BLOCK_CELLS, smoothed_inner_values
+from .duals import _BLOCK_CELLS, grid_smoothed_inner_values, problem_cells, smoothed_inner_values
 from .errors import (
     DimensionTooLarge,
     IncompleteTable,
@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .ope import RobustCostTable, _shared_costs, solve_shared_support
-from .transport import GroundCost
+from .transport import GridCost, GroundCost, grid_levels
 
 
 class Parameterization(enum.Enum):
@@ -207,8 +207,12 @@ class BsgdConfig:
     """Knobs of the biased-SGD loop.
 
     The step size is `gamma` when given, otherwise `gamma_scale / sqrt(T)`
-    held constant over the run. `lambda_cap` defaults to y_max / epsilon_x,
-    the bracket the dual variable provably lives in.
+    held constant over the run. `lambda_cap` defaults to y_max / epsilon_x.
+    That bounds the minimizer of the exact dual only: the smoothed dual this
+    loop descends can have its minimizer up to (y_max + log(N)/eta) /
+    epsilon_x over N contexts (the bracket of
+    :func:`~drobandit.duals.solve_transport_duals`), so the default cap may
+    clamp lambda below it.
     """
 
     iterations: int
@@ -366,22 +370,29 @@ def smoothed_learning_objective(params: PolicyParams, lam: float,
                                 eta: float, epsilon_x: float) -> float:
     """Full-enumeration smoothed objective at (theta, lambda).
 
-    The cost matrix is built in row blocks of at most `duals._BLOCK_CELLS`
-    entries; no support x support matrix is held at once. Only contexts of
-    positive weight are evaluated; the others keep an exact zero, so the sum
-    runs over the same terms in the same order.
+    On a Cartesian-grid support (:func:`~drobandit.transport.grid_levels`)
+    the log-sum-exps run axis by axis
+    (:func:`~drobandit.duals.grid_smoothed_inner_values`). Otherwise the
+    cost matrix is built in row blocks of at most
+    `duals._BLOCK_CELLS` entries; no support x support matrix is held at
+    once. Only contexts of positive weight are evaluated; the others keep an
+    exact zero, so the sum runs over the same terms in the same order.
     """
     _check_table(params, table)
     costs = _policy_costs(params.theta, _slots(params.grouping, params.n_actions),
                           table.m_hat, params.parameterization)
     points = context_dist.support.points
-    rows = max(1, _BLOCK_CELLS // len(points))
     live = np.flatnonzero(context_dist.weights > 0)
     inner = np.zeros(len(points))
-    for i in range(0, len(live), rows):
-        block = live[i : i + rows]
-        inner[block] = smoothed_inner_values(
-            lam, costs, GroundCost.SQUARED_EUCLIDEAN.pairwise(points[block], points), eta)
+    levels = grid_levels(points)
+    if levels is not None:
+        inner[live] = grid_smoothed_inner_values(lam, costs, GridCost(levels), live, eta)
+    else:
+        rows = max(1, _BLOCK_CELLS // len(points))
+        for i in range(0, len(live), rows):
+            block = live[i : i + rows]
+            inner[block] = smoothed_inner_values(
+                lam, costs, GroundCost.SQUARED_EUCLIDEAN.pairwise(points[block], points), eta)
     return float(epsilon_x * lam + context_dist.weights @ inner)
 
 
@@ -397,13 +408,14 @@ def exact_opl(table: RobustCostTable, context_dist: DiscreteDistribution,
     parameterization (points whose group probabilities sum above one are
     dropped) and on [-5, 5] for logits. Every grid point is scored with the
     same robust evaluation used by :func:`drobandit.ope.evaluate_policy`, in
-    chunks of max(1, `duals._BLOCK_CELLS` // N^2) points that each make one
-    batched dual call on the shared N x N cost matrix, so no (points x N)
-    array is held at once. The KL method builds no cost matrix, and its
-    chunks hold max(1, `duals._BLOCK_CELLS` // N) points. Ties keep the
-    earliest grid point in `np.ndindex` order. Only parameter dimensions up
-    to three are accepted -- the grid is a certification tool, not a
-    scalable learner.
+    chunks that each make one batched dual call on the shared costs, so no
+    (points x N) array is held at once. A chunk holds max(1,
+    `duals._BLOCK_CELLS` // cells) points: cells = N^2 for the dense N x N
+    matrix, N x (largest level count) on a Cartesian-grid support, whose
+    duals run axis by axis, and N for the KL method, which builds no costs.
+    Ties keep the earliest grid point in `np.ndindex` order. Only parameter
+    dimensions up to three are accepted -- the grid is a certification tool,
+    not a scalable learner.
 
     Returns (best PolicyParams, best value).
     """
@@ -425,7 +437,8 @@ def exact_opl(table: RobustCostTable, context_dist: DiscreteDistribution,
 
     slots = _slots(grouping, n_actions)
     cmat = _shared_costs(context_dist.support.points, method)
-    step = max(1, _BLOCK_CELLS // (len(context_dist.support) if cmat is None else cmat.size))
+    step = max(1, _BLOCK_CELLS // (len(context_dist.support) if cmat is None
+                                   else problem_cells(cmat)))
     values = []
     for start in range(0, len(thetas), step):
         costs = _policy_costs(thetas[start : start + step], slots, table.m_hat,

@@ -9,6 +9,7 @@ Euclidean; scalars are treated as 1-d vectors.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,62 @@ class GroundCost(enum.Enum):
                 out += np.multiply(diff, diff, out=diff)
             return out
         raise NotImplementedError(self)
+
+
+def grid_levels(points) -> tuple[np.ndarray, ...] | None:
+    """Per-axis levels of `points` if they form a Cartesian grid, else None.
+
+    The points form a grid when they have two or more axes, their number is
+    the product of the per-axis `np.unique` counts, and they equal
+    `np.meshgrid(*levels, indexing="ij")` in that order: the layout of
+    `load_dataset(support="full")`. A 1-d support is left to the dense kernel.
+    """
+    pts = _as_points(points)
+    if pts.shape[1] < 2:
+        return None
+    levels = tuple(np.unique(pts[:, k]) for k in range(pts.shape[1]))
+    if math.prod(len(lv) for lv in levels) != len(pts):
+        return None
+    grid = np.meshgrid(*levels, indexing="ij", copy=False)
+    if not all(np.array_equal(g.ravel(), pts[:, k]) for k, g in enumerate(grid)):
+        return None
+    return levels
+
+
+@dataclass(frozen=True)
+class GridCost:
+    """Squared-Euclidean costs among all points of a Cartesian grid, held as
+    the grid's per-axis levels (see :func:`grid_levels`).
+
+    The N x N matrix is never formed: the cost splits into one term per axis,
+    so a dual's inner max or log-sum-exp runs axis by axis over arrays of
+    `stage_cells` = N x (largest level count) entries per problem, at most
+    :data:`MAX_PAIRWISE_CELLS` (else :class:`InstanceTooLarge`). `shape` is the
+    (N, N) shape of the matrix it stands for.
+    """
+
+    levels: tuple
+
+    def __post_init__(self):
+        levels = tuple(np.asarray(lv, dtype=np.float64) for lv in self.levels)
+        object.__setattr__(self, "levels", levels)
+        if self.stage_cells > MAX_PAIRWISE_CELLS:
+            raise InstanceTooLarge(f"{self.shape[0]} grid points x up to "
+                                   f"{self.stage_cells // self.shape[0]} levels per axis "
+                                   f"exceed {MAX_PAIRWISE_CELLS}")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = math.prod(len(lv) for lv in self.levels)
+        return n, n
+
+    @property
+    def stage_cells(self) -> int:
+        return self.shape[0] * max(len(lv) for lv in self.levels)
+
+    def axis_costs(self) -> list[np.ndarray]:
+        """(levels, levels) matrices (l_x - l_zeta)^2, one per axis."""
+        return [GroundCost.SQUARED_EUCLIDEAN.block(lv[:, None], lv[:, None]) for lv in self.levels]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from drobandit.cli import main
@@ -380,6 +382,78 @@ def test_ope_manifest_records_solver_and_coverage_diagnostics(tmp_path):
     assert solve["bracket"][0] == 0.0 <= solve["lambda_star"] <= solve["bracket"][1]
     assert diagnostics["min_pair_frequency"] == 0.0
     assert diagnostics["imputed_pairs"] == 1
+    # a 1-d support stays on the dense N x N kernel
+    assert diagnostics["support_size"] == 2 and diagnostics["cost_kernel"] == "dense"
     # the diagnostics stay out of the output CSV
     assert set(read_rows(out)[0]) == {"method", "epsilon_x", "epsilon_c", "eta", "value",
                                       "lambda_star"}
+
+    # two context columns: the full support is their 2 x 3 grid; KL reads no costs
+    data.write_text("risk,site,treatment,event,death\n0,a,drug,N,N\n0,b,control,Y,N\n"
+                    "1,c,drug,N,N\n")
+    schema.write_text(json.dumps({
+        "context_columns": ["risk", "site"],
+        "action_column": "treatment",
+        "actions": ["control", "drug"],
+        "outcome_columns": ["event", "death"],
+        "cost_weights": {"event": 1.0, "death": 3.0},
+        "binning": {"site": {"kind": "categorical", "levels": ["a", "b", "c"]}},
+    }))
+    for method, kernel in (("exact", "grid"), ("regularized", "grid"), ("kl", "none")):
+        assert main(["ope", "--data", str(data), "--config", str(schema), "--method", method,
+                     "--eta", "5", "--epsilon-x", "0.1", "--epsilon-c", "0.1",
+                     "--impute-missing-ymax", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "ope.csv.manifest.json").read_text())
+        assert manifest["diagnostics"]["support_size"] == 6
+        assert manifest["diagnostics"]["cost_kernel"] == kernel
+        assert not {"support_size", "cost_kernel"} & set(read_rows(out)[0])
+
+
+# -- full context supports: the size guard and a 30 x 30 x 30 grid ---------------------
+
+def test_ope_full_support_beyond_the_size_guard_exits_3(tmp_path, capsys):
+    # five identity columns of 9,000 levels: 9000^5 points overflow even int64
+    columns = ["c0", "c1", "c2", "c3", "c4"]
+    data = tmp_path / "wide.csv"
+    data.write_text(",".join(columns + ["arm", "cost"]) + "\n" + "".join(
+        f"{i},{i},{i},{i},{i},{'ab'[i % 2]},{i % 3}\n" for i in range(9000)))
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"context_columns": columns, "action_column": "arm",
+                                  "cost_column": "cost"}))
+    assert main(["ope", "--data", str(data), "--config", str(schema), "--support", "full",
+                 "--impute-missing-ymax"]) == 3
+    assert "full context support" in capsys.readouterr().err
+
+
+def test_ope_full_support_on_a_30_cubed_grid_runs_in_bounded_memory(tmp_path):
+    # 27,000 contexts: one dense cost matrix alone would take 5.8 GB
+    rng = np.random.default_rng(8)
+    rows = 3000
+    levels = rng.integers(0, 30, size=(rows, 3))
+    levels[:30] = np.arange(30)[:, None]  # every level of every column is seen
+    data = tmp_path / "grid.csv"
+    data.write_text("age,rsbp,conscious,arm,cost\n" + "".join(
+        f"{a},{b},{c},{'ab'[k]},{y}\n"
+        for (a, b, c), k, y in zip(levels, rng.integers(0, 2, rows),
+                                   rng.integers(0, 5, rows) / 4)))
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"context_columns": ["age", "rsbp", "conscious"],
+                                  "action_column": "arm", "cost_column": "cost"}))
+    values = {}
+    tracemalloc.start()
+    try:
+        for method in ("plugin", "exact"):
+            out = tmp_path / f"{method}.csv"
+            assert main(["ope", "--data", str(data), "--config", str(schema), "--support",
+                         "full", "--method", method, "--epsilon-x", "0.5", "--epsilon-c",
+                         "0.1", "--impute-missing-ymax", "--out", str(out)]) == 0
+            values[method] = float(read_rows(out)[0]["value"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    manifest = json.loads((tmp_path / "exact.csv.manifest.json").read_text())
+    assert manifest["diagnostics"]["support_size"] == 27_000
+    assert manifest["diagnostics"]["cost_kernel"] == "grid"
+    # within the solver's default tolerance of y_max, the largest cost logged
+    assert values["plugin"] <= values["exact"] <= 1.0 + 1e-9
+    assert peak <= 200e6
