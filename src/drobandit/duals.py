@@ -578,10 +578,23 @@ def primal_oracle(p0: DiscreteDistribution, f: CostVector, epsilon: float) -> fl
     Maximizes E_sigma[f] over couplings sigma with first marginal p0 and
     expected transport cost at most epsilon, with HiGHS on a sparse
     constraint matrix (:func:`drobandit.transport.solve_max_lp`, feasibility
-    tolerances 1e-10). Intended as an oracle at desk scale; instances beyond
-    10^6 coupling variables are rejected. Raises :class:`InfeasiblePrimal`
-    when no coupling fits the budget and :class:`NumericalError` on any other
-    solver failure.
+    tolerances 1e-10). It solves the primal only and never calls a dual
+    solver.
+
+    Only undominated coupling columns reach the LP. Each atom has one row
+    constraint and all share one budget row, so moving an atom's mass from a
+    candidate to another that costs no more and is worth at least as much
+    never hurts: such a dominated column is dropped (the dominated-column
+    rule of LP presolve). Per row, candidates are ranked by cost, ties by
+    value descending, and one is kept only if its value beats every cheaper
+    one's. The cheapest candidate always stays, so the LP is feasible exactly
+    when the full one is, and its optimum is the full LP's. Rows of zero
+    weight are dropped too: their constraint forces their mass to zero.
+
+    The full cost matrix is still built, so instances beyond 10^6 coupling
+    variables are rejected. Raises :class:`InfeasiblePrimal` when no
+    coupling fits the budget and :class:`NumericalError` on any other solver
+    failure.
     """
     if epsilon < 0:
         raise NegativeEpsilon(f"epsilon must be non-negative, got {epsilon}")
@@ -589,13 +602,26 @@ def primal_oracle(p0: DiscreteDistribution, f: CostVector, epsilon: float) -> fl
     if m * n > 1_000_000:
         raise InstanceTooLarge(f"{m} x {n} coupling variables exceed the oracle limit")
     cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)
+    live = np.flatnonzero(p0.weights > 0)
+    cost = cmat[live]
+    ranked = np.lexsort((np.broadcast_to(-f.values, cost.shape), cost), axis=1)
+    worth = f.values[ranked]
+    keep = np.ones(worth.shape, dtype=bool)
+    keep[:, 1:] = worth[:, 1:] > np.maximum.accumulate(worth, axis=1)[:, :-1]
+    rows, rank = np.nonzero(keep)
+    cols = ranked[rows, rank]
+    budget = cost[rows, cols]
 
-    # variables: sigma (m*n, row-major) then the budget slack
-    row_sums = sparse.hstack([sparse.kron(sparse.eye(m), np.ones((1, n))),
-                              sparse.csr_matrix((m, 1))])
-    budget = sparse.csr_matrix(np.append(cmat.ravel(), 1.0))
-    eq = sparse.vstack([row_sums, budget], format="csr")
-    rhs = np.append(p0.weights, epsilon)
-    obj = np.append(np.tile(f.values, m), 0.0)
+    # variables: the kept sigma entries, then the budget slack; one row per
+    # live atom, then the budget row (zero costs left out of it)
+    r, k = len(live), len(cols)
+    priced = np.flatnonzero(budget)
+    eq = sparse.csr_matrix(
+        (np.concatenate([np.ones(k), budget[priced], [1.0]]),
+         (np.concatenate([rows, np.full(len(priced) + 1, r)]),
+          np.concatenate([np.arange(k), priced, [k]]))),
+        shape=(r + 1, k + 1))
+    rhs = np.append(p0.weights[live], epsilon)
+    obj = np.append(f.values[cols], 0.0)
     value, _ = solve_max_lp(obj, eq, rhs)
     return value

@@ -163,10 +163,11 @@ def wasserstein_distance(p: DiscreteDistribution,
                                             q.support.points[:, 0], q.weights)
     else:
         cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p.support.points, q.support.points)
-        # row-sum and column-sum constraints; one is redundant but HiGHS copes
-        rows = sparse.kron(sparse.eye(m), np.ones((1, n)), format="csr")
-        cols = sparse.kron(np.ones((1, m)), sparse.eye(n), format="csr")
-        a_eq = sparse.vstack([rows, cols], format="csr")
+        # row-sum then column-sum constraints on the row-major plan entries k;
+        # one is redundant but HiGHS copes
+        k = np.arange(m * n)
+        a_eq = sparse.csr_matrix((np.ones(2 * m * n), (np.concatenate([k // n, m + k % n]),
+                                                       np.tile(k, 2))), shape=(m + n, m * n))
         _, x = solve_max_lp(-cmat.ravel(), a_eq, np.concatenate([p.weights, q.weights]))
         plan = TransportPlan(x.reshape(m, n))
         distance = plan.cost(cmat)

@@ -19,6 +19,7 @@ from drobandit import (
     regularized_dual_solve,
     wasserstein_dual_solve,
 )
+from drobandit import duals
 from drobandit.distributions import match_indices
 from drobandit.duals import convex_minimize, smoothed_inner_values
 from drobandit.errors import (
@@ -345,6 +346,61 @@ def test_primal_oracle_across_epsilon(points, data, eps):
     primal = primal_oracle(p0, f, eps)
     assert primal == pytest.approx(float(rational_primal(p0, f, eps)), abs=1e-9)
     assert abs(wasserstein_dual_solve(p0, f, eps).value - primal) <= 1e-6
+
+
+def draw_off_atom_instance(points, data):
+    """Nominal atoms on the first points, costs on the others only, so every
+    coupling column moves mass at a positive cost."""
+    atoms = data.draw(st.integers(1, len(points) - 1), label="atoms")
+    raw = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.5]),
+                                      min_size=atoms, max_size=atoms), label="weights"))
+    raw[0] += raw.sum() == 0
+    values = data.draw(st.lists(st.sampled_from([-1.0, -0.25, 0.0, 0.5, 1.0]),
+                                min_size=len(points) - atoms, max_size=len(points) - atoms),
+                       label="costs")
+    pts = np.array(points, dtype=float) * 0.25
+    return (make_distribution(SupportSet(pts[:atoms]), raw / raw.sum()),
+            CostVector(SupportSet(pts[atoms:]), np.array(values)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=GRID_POINTS, data=st.data(),
+       scale=st.sampled_from([0.0, 0.5, 0.99, 1.01, 1.5, 4.0, 1e3]))
+def test_primal_oracle_reduced_lp_matches_the_full_lp(points, data, scale):
+    # the budget is a multiple of the cheapest coupling's cost, so both
+    # sides of the feasibility threshold are drawn
+    p0, f = draw_off_atom_instance(points, data)
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)
+    eps = scale * float(p0.weights @ cmat.min(axis=1))
+    try:
+        full = float(rational_primal(p0, f, eps))
+    except ArithmeticError:  # the exact full LP is infeasible
+        with pytest.raises(InfeasiblePrimal):
+            primal_oracle(p0, f, eps)
+    else:
+        assert primal_oracle(p0, f, eps) == pytest.approx(full, abs=1e-9)
+
+
+def test_primal_oracle_hands_highs_few_columns(monkeypatch):
+    # instances shaped like the benchmark's: 32 atoms, costs on them and 20 more
+    rng = np.random.default_rng(31)
+    solve, shapes = duals.solve_max_lp, []
+
+    def recording(objective, eq_lhs, eq_rhs):
+        shapes.append(np.shape(eq_lhs))
+        return solve(objective, eq_lhs, eq_rhs)
+
+    monkeypatch.setattr(duals, "solve_max_lp", recording)
+    for eps in (0.02, 0.05, 0.1, 0.3):
+        atoms = rng.random((32, 2))
+        weights = rng.dirichlet(np.full(32, 2.0))
+        weights[:3] = 0.0
+        p0 = make_distribution(SupportSet(atoms), weights / weights.sum())
+        f = CostVector(SupportSet(np.vstack([atoms, rng.random((20, 2))])), rng.random(52))
+        primal_oracle(p0, f, eps)
+        rows, columns = shapes[-1]
+        assert rows == 29 + 1  # the live atoms and the budget
+        assert 29 <= columns - 1 <= 0.15 * 32 * 52  # coupling columns, then the slack
 
 
 def grid_minimum(objective, hi: float) -> float:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.optimize import linprog
 
 from drobandit import (
@@ -146,6 +147,21 @@ def test_agreement_with_exact_rational_lp_oracle():
         cmat = cost.pairwise(p_pts, q_pts)
         exact = float(exact_transport_value(p.weights, q.weights, cmat))
         assert d == pytest.approx(exact, abs=1e-8)
+
+
+def test_multi_d_plan_equals_highs_on_the_kron_built_constraints():
+    # the one-call assembly hands HiGHS the same matrix, so the same vertex
+    rng = np.random.default_rng(11)
+    p_pts, q_pts = rng.random((5, 2)), rng.random((7, 2))
+    p = make_distribution(SupportSet(p_pts), rng.dirichlet(np.ones(5)))
+    q = make_distribution(SupportSet(q_pts), [0.2, 0.0, 0.1, 0.3, 0.1, 0.2, 0.1])
+    _, plan = wasserstein_distance(p, q)
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p_pts, q_pts)
+    a_eq = sparse.vstack([sparse.kron(sparse.eye(5), np.ones((1, 7)), format="csr"),
+                          sparse.kron(np.ones((1, 5)), sparse.eye(7), format="csr")],
+                         format="csr")
+    _, x = transport.solve_max_lp(-cmat.ravel(), a_eq, np.concatenate([p.weights, q.weights]))
+    assert np.array_equal(plan.matrix, np.clip(x.reshape(5, 7), 0.0, None))
 
 
 def test_split_radius_identical_contexts():
