@@ -47,6 +47,7 @@ from .distributions import (
     SupportSet,
     kl_divergence,
     make_distribution,
+    match_indices,
 )
 from .ope import (CostModel, Policy, cost_kernel, evaluate_policy, rate_experiment,
                   robust_cost_table)
@@ -144,14 +145,10 @@ def _load_policy(spec: str, n_contexts: int, n_actions: int):
 
 def _union_support(p: DiscreteDistribution, q: DiscreteDistribution):
     """Re-express both distributions on the union of their supports."""
-    pts = np.vstack([p.support.points, q.support.points])
-    union = SupportSet(np.unique(pts, axis=0))
-    def lift(dist):
-        w = np.zeros(len(union))
-        for point, weight in zip(dist.support.points, dist.weights):
-            w[union.index_of(point)] += weight
-        return DiscreteDistribution(union, w)
-    return lift(p), lift(q)
+    union = SupportSet(np.unique(np.vstack([p.support.points, q.support.points]), axis=0))
+    return tuple(DiscreteDistribution(union, np.bincount(match_indices(d.support.points, union),
+                                                         d.weights, minlength=len(union)))
+                 for d in (p, q))
 
 
 # -- subcommand handlers --------------------------------------------------------
@@ -292,16 +289,16 @@ def cmd_opl(args, argv) -> int:
         lam = float("nan")
     else:
         eta = args.eta if args.eta is not None else 10.0
-        theta0 = None
-        if args.theta0:
-            theta0 = np.asarray([float(v) for v in args.theta0.split(",")], dtype=np.float64)
         config = BsgdConfig(
             iterations=args.iterations, inner_batch=args.batch, eta=eta,
             epsilon_x=eps_x, seed=args.seed, gamma=args.gamma,
-            gamma_scale=args.gamma_scale, lambda0=args.lambda0, theta0=theta0,
+            gamma_scale=args.gamma_scale, lambda0=args.lambda0,
         )
-        start_theta = np.full(dim, 0.5) if parameterization is Parameterization.GROUP_PROB_CLAMP \
-            else np.zeros(dim)
+        if args.theta0:
+            start_theta = np.asarray([float(v) for v in args.theta0.split(",")], dtype=np.float64)
+        else:
+            start_theta = np.full(dim, 0.5 if parameterization is Parameterization.GROUP_PROB_CLAMP
+                                  else 0.0)
         policy0 = PolicyParams(start_theta, grouping, n_actions, parameterization)
         params, lam, trace = bsgd_learn(table, context_dist, dataset.contexts, config, policy0)
         value = smoothed_learning_objective(params, lam, table, context_dist, eta, eps_x)

@@ -7,8 +7,9 @@ transport ball reduces to minimizing
     epsilon * lam + E_nominal[ max_zeta ( f(zeta) - lam * c(x, zeta) ) ]
 
 over the scalar lam >= 0. The objective is convex (a mixture of pointwise
-maxima of affine functions of lam), and the minimizer lives in
-[0, f_max/epsilon] for non-negative f. The entropy-smoothed variant replaces
+maxima of affine functions of lam), and for non-negative f the minimizer
+lives in [0, f_max/(epsilon - reach)], reach = E_nominal[min_zeta c(x, zeta)]
+being 0 when every atom is a candidate. The entropy-smoothed variant replaces
 the inner max with a log-sum-exp at sharpness eta against the uniform
 reference measure, which keeps the value within log(support size)/eta of the
 exact one. The KL-ball dual and an exact-LP primal oracle complete the
@@ -33,6 +34,7 @@ from scipy import sparse
 from .distributions import DiscreteDistribution, SupportSet, match_indices
 from .errors import (
     EmptyInput,
+    InfeasiblePrimal,
     InstanceTooLarge,
     InvalidTolerance,
     LengthMismatch,
@@ -181,33 +183,6 @@ def convex_minimize(fn, hi, tol, max_iter: int = 400):
     return best_x, best_f, gap, evals
 
 
-# -- matrix-level kernels ----------------------------------------------------
-# These operate on a precomputed cost matrix between the nominal atoms (rows)
-# and the candidate support (columns), for one multiplier and value vector or
-# for k of each at once; the solvers and the learning loops share them.
-
-def _payoffs(lam, values: np.ndarray, cost_matrix: np.ndarray) -> np.ndarray:
-    # one temporary, updated in place: a fresh array costs more than the sums
-    z = np.multiply(np.asarray(lam, dtype=np.float64)[..., None, None], cost_matrix)
-    return np.subtract(values[..., None, :], z, out=z)
-
-
-def exact_inner_values(lam, values: np.ndarray, cost_matrix: np.ndarray) -> np.ndarray:
-    """Per-source max over candidates of f(zeta) - lam * c(x, zeta)."""
-    return _payoffs(lam, values, cost_matrix).max(axis=-1)
-
-
-def smoothed_inner_values(lam, values: np.ndarray, cost_matrix: np.ndarray,
-                          eta: float) -> np.ndarray:
-    """Per-source log-sum-exp (uniform reference) of f(zeta) - lam * c(x, zeta)."""
-    z = _payoffs(lam, values, cost_matrix)
-    z *= eta
-    top = z.max(axis=-1)
-    z -= top[..., None]
-    np.maximum(z, -700.0, out=z)  # the kernel's floor: no subnormal exp()
-    return top / eta + np.log(np.mean(np.exp(z, out=z), axis=-1)) / eta
-
-
 @dataclass(frozen=True)
 class DualBatch:
     """Outcome of P 1-d dual minimizations; problem p searched [0, upper[p]].
@@ -244,65 +219,22 @@ def _plugin_batch(expected, f_max: np.ndarray) -> DualBatch:
                      NON_ROBUST_SHORTCUT)
 
 
-def _transport_objective(weights, values, cost_matrix, epsilon, eta, problems):
-    """The `fn` of :func:`convex_minimize` for the transport duals of one block.
-
-    Each evaluation writes its (problems x atoms x candidates) payoffs into
-    one buffer. Exact: the slope is eps - sum_i w_i c(x_i, zeta_i*) at the
-    argmax zeta_i*, and the curvature 0 (the objective is piecewise linear).
-    Smoothed: the slope is eps - sum_i w_i E_softmax[c] and the curvature
-    eta * sum_i w_i Var_softmax[c], from one product with (c, c^2).
-    """
-    buffer = np.empty((problems,) + cost_matrix.shape)
-    rows = np.arange(len(cost_matrix))
-    if eta is not None:  # payoffs scaled by eta; c and c^2 side by side, c a view
-        values = eta * values
-        powers = np.empty((len(cost_matrix), 2, cost_matrix.shape[1]))
-        powers[:, 0] = cost_matrix
-        np.square(cost_matrix, out=powers[:, 1])
-        cost_matrix = powers[:, 0]
-
-    def objective(index, lam):
-        w, z = weights[index], buffer[: len(index)]
-        np.multiply((lam if eta is None else eta * lam)[:, None, None], cost_matrix, out=z)
-        np.subtract(values[index][:, None, :], z, out=z)
-        if eta is None:
-            star = z.argmax(axis=-1)
-            inner = np.take_along_axis(z, star[..., None], axis=-1)[..., 0]
-            return (epsilon * lam + np.einsum("ki,ki->k", w, inner),
-                    epsilon - np.einsum("ki,ki->k", w, cost_matrix[rows, star]),
-                    np.zeros(len(index)))
-        top = z.max(axis=-1)
-        z -= top[..., None]
-        # exp() of arguments below -708 gives subnormals or zeros, several
-        # times slower to produce and to multiply; the floor moves each sum
-        # (at least 1, from its top term) by under n * 1e-304
-        np.maximum(z, -700.0, out=z)
-        np.exp(z, out=z)
-        total = z.sum(axis=-1)
-        inner = (top + np.log(total / z.shape[-1])) / eta
-        mean, square = np.matmul(powers, z.transpose(1, 2, 0)).transpose(1, 0, 2) / total.T
-        spread = np.maximum(square - mean * mean, 0.0)
-        return (epsilon * lam + np.einsum("ki,ki->k", w, inner),
-                epsilon - np.einsum("ki,ik->k", w, mean),
-                eta * np.einsum("ki,ik->k", w, spread))
-
-    return objective
-
-
-# -- per-axis kernels on a Cartesian grid ----------------------------------------
+# -- the transport-dual kernel -------------------------------------------------
+# The inner max over candidates runs in stages, one axis of the cost at a time.
 # With atoms and candidates the same grid, c(x, zeta) = sum_k (x_k - zeta_k)^2,
-# so the inner max over zeta is a max over zeta_d, then over zeta_{d-1}, ...,
-# each of one axis' term (Felzenszwalb & Huttenlocher, Distance Transforms of
-# Sampled Functions, 2012), and the log-sum-exp nests the same way (Solomon et
-# al., Convolutional Wasserstein Distances, 2015).
+# so the max over zeta is a max over zeta_d, then over zeta_{d-1}, ..., each of
+# one axis' term (Felzenszwalb & Huttenlocher, Distance Transforms of Sampled
+# Functions, 2012), and the log-sum-exp nests the same way (Solomon et al.,
+# Convolutional Wasserstein Distances, 2015). An atoms x candidates matrix is
+# the one-stage case: its single axis cost is the matrix.
 
 def _stage_source(a, shape, after, rest):
     """Stage output `a` as the source of a stage of `shape`, its last axis the
-    grid axis being reduced: the cells of the axes ahead of it in grid order
-    hold candidate levels, the `after` cells of the axes behind it atom
-    levels. Shape (P, before, 1, after, n), or, on the first axis,
-    (P, atoms, n) at the atoms' behind-cells `rest`."""
+    axis being reduced: the cells of the axes ahead of it in grid order hold
+    candidate levels, the `after` cells of the axes behind it atom levels.
+    Shape (P, before, 1, after, n), or, on the first axis, (P, atoms, n) at
+    the atoms' behind-cells `rest` (a slice when no axis is behind: then a
+    (P, 1, n) view)."""
     if rest is None:
         return a.reshape(shape[:3] + (after,)).transpose(0, 1, 3, 2)[:, :, None]
     return a.reshape(len(a), shape[-1], after)[:, :, rest].transpose(0, 2, 1)
@@ -310,25 +242,31 @@ def _stage_source(a, shape, after, rest):
 
 def _exact_stage(z, axis_cost, carried, spare):
     # max over the last axis; carried: cost of the axes behind at the argmax
-    star = z.argmax(axis=-1)[..., None]
-    cost = np.take_along_axis(np.broadcast_to(axis_cost, z.shape), star, axis=-1)[..., 0]
+    star = z.argmax(axis=-1)
+    at = (*np.indices(star.shape, sparse=True), star)
+    cost = np.broadcast_to(axis_cost, z.shape)[at]
     if carried is not None:
-        cost += np.take_along_axis(np.broadcast_to(carried[0], z.shape), star, axis=-1)[..., 0]
-    return np.take_along_axis(z, star, axis=-1)[..., 0], (cost,)
+        cost += np.broadcast_to(carried[0], z.shape)[at]
+    return z[at], (cost,)
 
 
 def _smoothed_stage(z, axis_cost, carried, spare):
-    # log-sum-exp over the last axis with the dense kernel's floor; carried:
-    # mean and variance of the cost of the axes behind under their softmax,
-    # combined with this axis' term by the laws of total expectation and variance
+    # log-sum-exp over the last axis. exp() of arguments below -708 gives
+    # subnormals or zeros, several times slower to produce and to multiply;
+    # the floor moves each sum (at least 1, from its top term) by under
+    # n * 1e-304. The moments of the cost under the softmax: a lone stage's
+    # from one product with `spare` = (c, c^2) per atom; otherwise carried
+    # holds the mean and variance of the cost of the axes behind, combined
+    # with this axis' term by the laws of total expectation and variance
     top = z.max(axis=-1)
     z -= top[..., None]
     np.maximum(z, -700.0, out=z)
     np.exp(z, out=z)
     total = z.sum(axis=-1)
     value = top + np.log(total)
-    if spare is None:
-        return value, None
+    if spare.ndim == 3:
+        mean, square = np.matmul(spare, z.transpose(1, 2, 0)).transpose(1, 2, 0) / total
+        return value, (mean, np.maximum(square - mean * mean, 0.0))
     t = spare[: z.size].reshape(z.shape)
     np.add(axis_cost, 0.0 if carried is None else carried[0], out=t)
     mean = np.einsum("...j,...j->...", z, t) / total
@@ -339,59 +277,74 @@ def _smoothed_stage(z, axis_cost, carried, spare):
     return value, (mean, np.einsum("...j,...j->...", z, t) / total)
 
 
-def _grid_pass(lam, values, axis_costs, rows, buffers, eta=None, moments=True):
-    """Inner max (`eta` None) or log-sum-exp of values - lam * c over a grid.
+def _grid_pass(lam, values, stages, rest, buffers, eta=None):
+    """Inner max (`eta` None) or log-sum-exp of values - lam * c, stage by stage.
 
-    `values` (P, N) holds each problem's candidate values in grid order and
-    `lam` (P,) its multiplier, both times eta when smoothed; `axis_costs`
-    are :meth:`GridCost.axis_costs`. The axes are reduced last first: axis
-    k's stage forms the (P, N, n_k) array of the last stage's values minus
-    lam * (l_x - l_zeta)^2 in `buffers[0]` and reduces it over zeta_k; the
-    first axis' stage is formed at the atoms `rows` only. Returns, per problem
-    and atom of `rows`, the exact inner value and (cost at the argmax,), or
-    the log of the sum (not the mean) of the exponentials and (mean,
-    variance) of the cost under the softmax, which take `buffers[1]`; no
-    moments unless `moments`.
+    `values` (P, N) holds each problem's candidate values (in grid order on a
+    grid) and `lam` (P,) its multiplier, both times eta when smoothed.
+    `stages` are the axis costs, the first gathered at the atoms, whose
+    behind-cells are `rest` (see :func:`_grid_objective`). The stages are
+    reduced last first: stage k forms the (P, N, n_k) array of the last
+    stage's values minus lam * (l_x - l_zeta)^2 in `buffers[0]` and reduces
+    it over zeta_k; the first stage is formed at the atoms only. Returns, per
+    problem and atom, the exact inner value and (cost at the argmax,), or the
+    log of the sum (not the mean) of the exponentials and (mean, variance) of
+    the cost under the softmax, which take `buffers[1]`.
     """
     stage = _exact_stage if eta is None else _smoothed_stage
     v, stats, after = values, None, 1
-    for k in reversed(range(len(axis_costs))):
-        n = len(axis_costs[k])
+    for k in reversed(range(len(stages))):
+        n = stages[k].shape[-1]
         if k:
-            rest, axis_cost = None, axis_costs[k][:, None, :]
+            part, axis_cost = None, stages[k][:, None, :]
             shape = (len(v), values.shape[1] // (n * after), n, after, n)
         else:
-            atom, rest = np.divmod(rows, after)
-            axis_cost, shape = axis_costs[0][atom], (len(v), len(rows), n)
+            part, axis_cost, shape = rest, stages[0], (len(v),) + stages[0].shape
         z = buffers[0][: math.prod(shape)].reshape(shape)
         np.multiply(lam.reshape((-1,) + (1,) * (len(shape) - 1)), axis_cost, out=z)
-        np.subtract(_stage_source(v, shape, after, rest), z, out=z)
-        carried = None if stats is None else [_stage_source(s, shape, after, rest)
+        np.subtract(_stage_source(v, shape, after, part), z, out=z)
+        carried = None if stats is None else [_stage_source(s, shape, after, part)
                                               for s in stats]
-        v, stats = stage(z, axis_cost, carried, buffers[1] if moments and eta else None)
+        v, stats = stage(z, axis_cost, carried, buffers[1])
         after *= n
     return v, stats
 
 
-def _grid_objective(weights, rows, values, grid, epsilon, eta, problems):
-    """:func:`_transport_objective` on a :class:`GridCost`, the atoms of
-    positive weight being `rows`: the same values, slopes and curvatures from
-    one axis-by-axis pass (:func:`_grid_pass`) per evaluation. The exact slope
-    takes the cost at the stages' argmax, a subgradient like the dense one;
-    they differ only where the argmax ties."""
-    axis_costs = grid.axis_costs()
-    buffers = np.empty((1 if eta is None else 2, problems * grid.stage_cells))
+def _grid_objective(weights, rows, values, cost, epsilon, eta, problems):
+    """The `fn` of :func:`convex_minimize` for the transport duals of one block:
+    `weights` (P, atoms `rows`), `values` (P, candidates) and `cost` the atoms
+    x candidates matrix or a :class:`GridCost`, one stage per axis. Each
+    evaluation is one :func:`_grid_pass`. Exact: the slope is
+    eps - sum_i w_i c(x_i, zeta_i*) at the stages' argmax, any subgradient
+    where the argmax ties, and the curvature 0 (the objective is piecewise
+    linear). Smoothed: the slope is eps - sum_i w_i E_softmax[c] and the
+    curvature eta * sum_i w_i Var_softmax[c].
+    """
+    grid = isinstance(cost, GridCost)
+    stages = cost.axis_costs() if grid else [cost]
+    after = cost.shape[1] // stages[0].shape[1]  # cells behind the first axis
+    atom, rest = np.divmod(rows, after)
+    if not np.array_equal(atom, np.arange(len(stages[0]))):
+        stages[0] = stages[0][atom]  # gathered once per block
+    spare = None
     if eta is not None:
-        values, log_n = eta * values, math.log(grid.shape[0])
+        values, log_n = eta * values, math.log(cost.shape[1])
+        if not grid:  # c and c^2 side by side, the stage's c a view
+            spare = np.empty((len(rows), 2, cost.shape[1]))
+            spare[:, 0] = stages[0]
+            stages[0] = spare[:, 0]
+            np.square(stages[0], out=spare[:, 1])
+    buffer = np.empty(problems * (cost.stage_cells if grid else stages[0].size))
+    buffers = (buffer, np.empty_like(buffer) if eta is not None and grid else spare)
+    rest = rest if after > 1 else slice(None)
 
     def objective(index, lam):
         w = weights[index]
         if eta is None:
-            inner, (cost,) = _grid_pass(lam, values[index], axis_costs, rows, buffers)
+            inner, (at_star,) = _grid_pass(lam, values[index], stages, rest, buffers)
             return (epsilon * lam + np.einsum("ki,ki->k", w, inner),
-                    epsilon - np.einsum("ki,ki->k", w, cost), np.zeros(len(index)))
-        inner, (mean, spread) = _grid_pass(eta * lam, values[index], axis_costs, rows, buffers,
-                                           eta)
+                    epsilon - np.einsum("ki,ki->k", w, at_star), np.zeros(len(index)))
+        inner, (mean, spread) = _grid_pass(eta * lam, values[index], stages, rest, buffers, eta)
         return (epsilon * lam + np.einsum("ki,ki->k", w, inner - log_n) / eta,
                 epsilon - np.einsum("ki,ki->k", w, mean),
                 eta * np.einsum("ki,ki->k", w, spread))
@@ -399,13 +352,17 @@ def _grid_objective(weights, rows, values, grid, epsilon, eta, problems):
     return objective
 
 
-def grid_smoothed_inner_values(lam: float, values, grid: GridCost, rows, eta: float):
-    """:func:`smoothed_inner_values` for one multiplier and value vector on a
-    :class:`GridCost`, at the grid atoms `rows`, computed axis by axis."""
-    inner, _ = _grid_pass(np.array([eta * lam]), eta * np.asarray(values, dtype=np.float64)[None],
-                          grid.axis_costs(), np.asarray(rows), np.empty((1, grid.stage_cells)),
-                          eta, moments=False)
-    return (inner[0] - math.log(grid.shape[0])) / eta
+def transport_objective(lam, weights, values, cost, epsilon, eta=None) -> float:
+    """The transport dual's objective at one multiplier `lam`: epsilon * lam
+    plus the `weights`-mean over atoms of the inner max (`eta` None) or
+    log-sum-exp (uniform reference) over candidates of values - lam * c, from
+    the solvers' kernel (:func:`_grid_objective`). `cost` is the atoms x
+    candidates matrix or a :class:`GridCost`."""
+    weights = np.asarray(weights, dtype=np.float64)
+    rows = np.flatnonzero(weights)
+    fn = _grid_objective(weights[None, rows], rows, np.asarray(values, dtype=np.float64)[None],
+                         cost, epsilon, eta, 1)
+    return float(fn(np.zeros(1, dtype=np.int64), np.array([float(lam)]))[0][0])
 
 
 def problem_cells(cost_matrix) -> int:
@@ -428,6 +385,12 @@ def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
     atoms weightless in the whole block, each to a certified gap of at most
     `tol`. `plugin` (epsilon = 0) defaults to row-wise weights . values, right
     when atoms are the candidates.
+
+    Moving the atoms onto the candidates costs at least reach = sum_i w_i
+    min_j c(x_i, zeta_j), 0 when every atom is a candidate. A radius below
+    reach admits no coupling: :class:`InfeasiblePrimal`. At epsilon = reach >
+    0 the search bound below is infinite and the smoothed minimum is not
+    attained, so no bracket certifies the value: :class:`NumericalError`.
     """
     weights, values = np.asarray(weights, dtype=np.float64), np.asarray(values, dtype=np.float64)
     grid = isinstance(cost_matrix, GridCost)
@@ -438,23 +401,26 @@ def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
     if epsilon == 0:
         return _plugin_batch(np.einsum("pi,pi->p", weights, values) if plugin is None
                              else plugin, f_max)
-    # Solve with costs shifted to be >= 0. The objective is then <= f_max at 0
-    # and >= epsilon*lam - log(n)/eta (no log term when exact), each atom being
-    # a candidate at zero cost, so lam* <= (f_max + log(n)/eta) / epsilon.
+    reach = 0.0 if grid else weights @ cost_matrix.min(axis=1)
+    if np.any(reach >= epsilon):
+        raise (InfeasiblePrimal if np.any(reach > epsilon) else NumericalError)(
+            f"radius {epsilon} does not exceed {np.max(reach)}, the least cost of moving "
+            "the atoms onto the candidates")
+    # Solve with values shifted to be >= 0. The objective is then <= f_max at
+    # 0 and >= (epsilon - reach) * lam - log(n)/eta (no log term when exact),
+    # taking each atom to its cheapest candidate, so lam* <= (f_max +
+    # log(n)/eta) / (epsilon - reach).
     shift = np.minimum(values.min(axis=1), 0.0)
     shifted = values - shift[:, None]
     slack = 0.0 if eta is None else math.log(values.shape[1]) / eta
-    hi = (shifted.max(axis=1) + slack) / epsilon
+    hi = (shifted.max(axis=1) + slack) / (epsilon - reach)
     lam, value, gap, evals = np.empty((4, len(values)))
     step = max(1, _BLOCK_CELLS // max(problem_cells(cost_matrix), 1))
     for block in (slice(s, s + step) for s in range(0, len(values), step)):
         atoms = weights[block].any(axis=0)
-        problems = len(values[block])
-        objective = (_grid_objective(weights[block][:, atoms], np.flatnonzero(atoms),
-                                     shifted[block], cost_matrix, epsilon, eta, problems)
-                     if grid else
-                     _transport_objective(weights[block][:, atoms], shifted[block],
-                                          cost_matrix[atoms], epsilon, eta, problems))
+        objective = _grid_objective(weights[block][:, atoms], np.flatnonzero(atoms),
+                                    shifted[block], cost_matrix, epsilon, eta,
+                                    len(values[block]))
         lam[block], value[block], gap[block], evals[block] = convex_minimize(
             objective, hi[block], tol[block])
     return DualBatch(lam, value + shift, evals.astype(np.int64), hi, gap)
@@ -526,15 +492,16 @@ def dual_objective(lam: float, p0: DiscreteDistribution, f: CostVector,
     if epsilon < 0:
         raise NegativeEpsilon(f"epsilon must be non-negative, got {epsilon}")
     cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)
-    return float(epsilon * lam + p0.weights @ exact_inner_values(lam, f.values, cmat))
+    return transport_objective(lam, p0.weights, f.values, cmat, epsilon)
 
 
 def wasserstein_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: float,
                            tol: float | None = None) -> DualSolution:
     """Worst-case expectation of f over the transport ball of radius epsilon.
 
-    Minimizes the convex dual objective over lam in [0, f_max/epsilon] with
-    cutting-plane steps (:func:`convex_minimize`). The reported value is an
+    Minimizes the convex dual objective over lam in [0, f_max/(epsilon -
+    reach)] (see :func:`solve_transport_duals`) with cutting-plane steps
+    (:func:`convex_minimize`). The reported value is an
     attained objective value, so it never exceeds f_max (the value at
     lam = 0), and the solution's `gap` certifies that the minimum lies in
     [value - gap, value]. The gap is at most `tol` (default 1e-9 * f_max)
@@ -555,7 +522,8 @@ def regularized_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: flo
     The inner maximum becomes a log-sum-exp at sharpness `smoothing.eta`
     with uniform reference weights over the candidate support, so the value
     stays within log(|support|)/eta of the exact dual while being smooth in
-    every argument. The bracket widens to [0, (f_max + log(|support|)/eta)/epsilon].
+    every argument. The bracket widens to [0, (f_max + log(|support|)/eta) /
+    (epsilon - reach)].
     """
     if smoothing is None:
         raise NonPositiveEta("a SmoothingConfig with positive eta is required")

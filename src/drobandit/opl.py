@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, SupportSet
-from .duals import _BLOCK_CELLS, grid_smoothed_inner_values, problem_cells, smoothed_inner_values
+from .duals import _BLOCK_CELLS, problem_cells, transport_objective
 from .errors import (
     DimensionTooLarge,
     IncompleteTable,
@@ -223,7 +223,6 @@ class BsgdConfig:
     gamma: float | None = None
     gamma_scale: float = 0.5
     lambda0: float = 0.0
-    theta0: np.ndarray | None = None
     lambda_cap: float | None = None
 
     def __post_init__(self):
@@ -318,10 +317,8 @@ def bsgd_learn(table: RobustCostTable, context_dist: DiscreteDistribution,
     _check_table(policy0, table)
     if len(support) != table.n_contexts or len(context_dist.support) != table.n_contexts:
         raise InvalidConfig("support, context distribution and table must agree in size")
-    theta0 = policy0.theta if config.theta0 is None else np.asarray(config.theta0, float)
-    start = PolicyParams(theta0, policy0.grouping, policy0.n_actions, policy0.parameterization)
-    k, kind = start.n_actions, start.parameterization
-    theta = project_theta(start.theta, k, kind)
+    k, kind = policy0.n_actions, policy0.parameterization
+    theta = project_theta(policy0.theta, k, kind)
     lam = float(config.lambda0)
     y_max = float(table.m_hat.max())
     cap = config.lambda_cap
@@ -337,7 +334,7 @@ def bsgd_learn(table: RobustCostTable, context_dist: DiscreteDistribution,
     # same random stream, same contexts
     cdf = np.cumsum(context_dist.weights)
     cdf /= cdf[-1]
-    slot_map = _slots(start.grouping, k)
+    slot_map = _slots(policy0.grouping, k)
 
     t_count = config.iterations
     trace_theta = np.empty((t_count, theta.size))
@@ -359,7 +356,7 @@ def bsgd_learn(table: RobustCostTable, context_dist: DiscreteDistribution,
         theta = project_theta(theta - step * theta_grad, k, kind)
         lam = min(max(lam - step * lambda_grad, 0.0), cap)
 
-    params = PolicyParams(theta, start.grouping, k, kind)
+    params = PolicyParams(theta, policy0.grouping, k, kind)
     trace = LearnTrace(trace_theta, trace_lam, trace_ctx, trace_obj)
     return params, lam, trace
 
@@ -370,30 +367,26 @@ def smoothed_learning_objective(params: PolicyParams, lam: float,
                                 eta: float, epsilon_x: float) -> float:
     """Full-enumeration smoothed objective at (theta, lambda).
 
-    On a Cartesian-grid support (:func:`~drobandit.transport.grid_levels`)
-    the log-sum-exps run axis by axis
-    (:func:`~drobandit.duals.grid_smoothed_inner_values`). Otherwise the
-    cost matrix is built in row blocks of at most
-    `duals._BLOCK_CELLS` entries; no support x support matrix is held at
-    once. Only contexts of positive weight are evaluated; the others keep an
-    exact zero, so the sum runs over the same terms in the same order.
+    One :func:`~drobandit.duals.transport_objective` call on a
+    Cartesian-grid support (:func:`~drobandit.transport.grid_levels`), whose
+    log-sum-exps run axis by axis. Otherwise one call per row block of the
+    cost matrix, of at most `duals._BLOCK_CELLS` entries, so no support x
+    support matrix is held at once. Contexts of zero weight are not
+    evaluated.
     """
     _check_table(params, table)
     costs = _policy_costs(params.theta, _slots(params.grouping, params.n_actions),
                           table.m_hat, params.parameterization)
-    points = context_dist.support.points
-    live = np.flatnonzero(context_dist.weights > 0)
-    inner = np.zeros(len(points))
+    points, weights = context_dist.support.points, context_dist.weights
     levels = grid_levels(points)
     if levels is not None:
-        inner[live] = grid_smoothed_inner_values(lam, costs, GridCost(levels), live, eta)
-    else:
-        rows = max(1, _BLOCK_CELLS // len(points))
-        for i in range(0, len(live), rows):
-            block = live[i : i + rows]
-            inner[block] = smoothed_inner_values(
-                lam, costs, GroundCost.SQUARED_EUCLIDEAN.pairwise(points[block], points), eta)
-    return float(epsilon_x * lam + context_dist.weights @ inner)
+        return transport_objective(lam, weights, costs, GridCost(levels), epsilon_x, eta)
+    live = np.flatnonzero(weights > 0)
+    rows = max(1, _BLOCK_CELLS // len(points))
+    return epsilon_x * lam + sum(
+        transport_objective(lam, weights[block], costs,
+                            GroundCost.SQUARED_EUCLIDEAN.pairwise(points[block], points), 0.0, eta)
+        for block in (live[i : i + rows] for i in range(0, len(live), rows)))
 
 
 # -- exact small-space search --------------------------------------------------

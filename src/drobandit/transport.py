@@ -65,7 +65,7 @@ def grid_levels(points) -> tuple[np.ndarray, ...] | None:
     The points form a grid when they have two or more axes, their number is
     the product of the per-axis `np.unique` counts, and they equal
     `np.meshgrid(*levels, indexing="ij")` in that order: the layout of
-    `load_dataset(support="full")`. A 1-d support is left to the dense kernel.
+    `load_dataset(support="full")`. A 1-d support is left to the dense matrix.
     """
     pts = _as_points(points)
     if pts.shape[1] < 2:

@@ -2,9 +2,13 @@
 
 The LP oracle here runs Bland-rule simplex in exact rational arithmetic
 (fractions.Fraction), so its optima are certified, not approximated. It is
-slow and dense on purpose; tests only feed it desk-sized instances.
+slow and dense on purpose; tests only feed it desk-sized instances. The
+transport-dual reference enumerates the full atoms x candidates matrix in
+plain numpy.
 """
 from fractions import Fraction
+
+import numpy as np
 
 
 def rational_simplex_max(objective, eq_lhs, eq_rhs):
@@ -120,3 +124,34 @@ def exact_transport_value(p_weights, q_weights, cost_matrix):
         rhs.append(Fraction(q_weights[j]))
     value, _ = rational_simplex_max(objective, eq, rhs)
     return -value
+
+
+def transport_dual_reference(weights, values, cmat, lam, epsilon, eta=None):
+    """Value, slope range and curvature of the transport dual of P problems.
+
+    Problem p has weights[p] over the atoms (rows of `cmat`), values[p] over
+    the candidates (its columns) and multiplier lam[p]; the objective is
+    eps * lam + sum_i w_i inner_i, inner_i the max (`eta` None) or the
+    log-sum-exp against the uniform reference of values - lam * c_i. Exact:
+    the slope range is eps - sum_i w_i c at the argmax, over the candidates
+    that tie for the max within rounding, at its max and min; the curvature
+    is 0. Smoothed: one slope, eps - sum_i w_i E_softmax[c], and the
+    curvature eta * sum_i w_i Var_softmax[c], from centered terms.
+    """
+    z = values[:, None, :] - lam[:, None, None] * cmat
+    top = z.max(axis=-1, keepdims=True)
+    if eta is None:
+        scale = np.abs(values).max(axis=1)[:, None, None] + 1.0
+        tied = z >= top - 1e-12 * scale
+        low = epsilon - np.einsum("pi,pi->p", weights, np.where(tied, cmat, -np.inf).max(axis=-1))
+        high = epsilon - np.einsum("pi,pi->p", weights, np.where(tied, cmat, np.inf).min(axis=-1))
+        value = epsilon * lam + np.einsum("pi,pi->p", weights, top[..., 0])
+        return value, (low, high), np.zeros(len(lam))
+    soft = np.exp(eta * (z - top))
+    inner = top[..., 0] + np.log(soft.mean(axis=-1)) / eta
+    soft /= soft.sum(axis=-1, keepdims=True)
+    mean = (soft * cmat).sum(axis=-1)
+    spread = (soft * (cmat - mean[..., None]) ** 2).sum(axis=-1)
+    slope = epsilon - np.einsum("pi,pi->p", weights, mean)
+    return (epsilon * lam + np.einsum("pi,pi->p", weights, inner), (slope, slope),
+            eta * np.einsum("pi,pi->p", weights, spread))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from drobandit.cli import main
+from drobandit.distributions import SupportSet, kl_divergence, make_distribution
 
 SYNTH_SPEC = {
     "context_points": [[0.0], [1.0], [2.0]],
@@ -68,6 +69,18 @@ def test_distance_disjoint_supports_reports_inf_kl(tmp_path):
     row = read_rows(out)[0]
     assert math.isfinite(float(row["wasserstein"]))
     assert float(row["kl"]) == math.inf
+
+
+def test_distance_overlapping_supports_reports_finite_kl(tmp_path):
+    p = write_dist(tmp_path / "p.csv", [[0.0, 0.2], [1.0, 0.3], [2.0, 0.5]])
+    q = write_dist(tmp_path / "q.csv", [[2.0, 0.6], [1.0, 0.4]])
+    out = tmp_path / "d.csv"
+    assert main(["distance", "--p", p, "--q", q, "--kl", "--out", str(out)]) == 0
+    union = SupportSet.from_scalars([0.0, 1.0, 2.0])
+    want = kl_divergence(make_distribution(union, [0.0, 0.4, 0.6]),
+                         make_distribution(union, [0.2, 0.3, 0.5]))
+    assert math.isfinite(want)
+    assert float(read_rows(out)[0]["kl"]) == pytest.approx(want, abs=1e-12)
 
 
 def test_distance_two_by_two_fixture(tmp_path):
@@ -276,6 +289,16 @@ def test_opl_bsgd_trace_deterministic(tmp_path, canonical_data):
                      "--grouping", "single", "--trace-out", str(trace)]) == 0
         traces.append(trace.read_bytes())
     assert traces[0] == traces[1]
+
+
+def test_opl_bsgd_starts_at_theta0(tmp_path, canonical_data):
+    trace = tmp_path / "trace.csv"
+    args = ["opl", "--data", str(canonical_data), "--algo", "bsgd", "--iterations", "20",
+            "--batch", "8", "--epsilon-x", "0.1", "--epsilon-c", "0.1", "--seed", "13",
+            "--grouping", "single", "--trace-out", str(trace)]
+    assert main([*args, "--theta0", "0.2"]) == 0
+    assert float(read_rows(trace)[0]["theta_0"]) == 0.2
+    assert main([*args, "--theta0", "0.2,0.3"]) == 3  # one parameter expected
 
 
 def test_opl_bsgd_near_grid_value(tmp_path, canonical_data):

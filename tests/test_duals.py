@@ -21,7 +21,7 @@ from drobandit import (
 )
 from drobandit import duals
 from drobandit.distributions import match_indices
-from drobandit.duals import convex_minimize, smoothed_inner_values
+from drobandit.duals import _grid_pass, convex_minimize
 from drobandit.errors import (
     EmptyInput,
     InfeasiblePrimal,
@@ -182,13 +182,17 @@ def test_smoothed_inner_values_floor_leaves_values_unchanged():
     points = rng.uniform(0.0, 10.0, size=(40, 2))
     cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(points[:25], points)
     values, eta = rng.random(40), 10.0
+    powers = np.stack([cmat, cmat * cmat], axis=1)
+    buffers = (np.empty(cmat.size), powers)
     for lam in (0.5, 20.0):
-        z = eta * (values[None, :] - lam * cmat)
+        z = eta * values[None, :] - (eta * lam) * cmat
         top = z.max(axis=1)
         z -= top[:, None]
         assert z.min() < -708.0  # exp() would reach subnormals or zero
-        unfloored = top / eta + np.log(np.mean(np.exp(z), axis=1)) / eta
-        assert np.array_equal(smoothed_inner_values(lam, values, cmat, eta), unfloored)
+        unfloored = top + np.log(np.exp(z).sum(axis=1))
+        inner, _ = _grid_pass(np.array([eta * lam]), eta * values[None], [powers[:, 0]],
+                              slice(None), buffers, eta)
+        assert np.array_equal(inner[0], unfloored)
 
 
 def test_regularized_large_eta_matches_exact():
@@ -379,6 +383,45 @@ def test_primal_oracle_reduced_lp_matches_the_full_lp(points, data, scale):
             primal_oracle(p0, f, eps)
     else:
         assert primal_oracle(p0, f, eps) == pytest.approx(full, abs=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(points=GRID_POINTS, data=st.data(),
+       scale=st.sampled_from([0.5, 0.99, 1.01, 1.5, 4.0, 1e3]))
+def test_dual_matches_the_primal_when_no_atom_is_a_candidate(points, data, scale):
+    # the dual's bracket must reach past f_max / epsilon, and a budget below
+    # the cheapest move must be refused, as the primal refuses it
+    p0, f = draw_off_atom_instance(points, data)
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)
+    eps = scale * float(p0.weights @ cmat.min(axis=1))
+    try:
+        primal = primal_oracle(p0, f, eps)
+    except InfeasiblePrimal:
+        with pytest.raises(InfeasiblePrimal):
+            wasserstein_dual_solve(p0, f, eps)
+    else:
+        assert abs(wasserstein_dual_solve(p0, f, eps).value - primal) <= 1e-6
+
+
+def test_dual_bracket_when_the_atom_is_not_a_candidate():
+    # reach = 1: the only atom moves a squared distance of at least 1
+    p0 = make_distribution(SupportSet.from_scalars([0.0]), [1.0])
+    f = CostVector(SupportSet.from_scalars([1.0, 1.01]), np.array([0.0, 1.0]))
+    sol = wasserstein_dual_solve(p0, f, 1.01)
+    assert sol.lambda_star > f.f_max / 1.01  # beyond the bracket that ignored reach
+    assert sol.value == pytest.approx(primal_oracle(p0, f, 1.01), abs=1e-9)
+    assert sol.value == pytest.approx(0.497512437810945, abs=1e-9)
+    smooth = regularized_dual_solve(p0, f, 1.01, smoothing=SmoothingConfig(50.0))
+    assert sol.value - math.log(2) / 50.0 <= smooth.value <= sol.value + 1e-9
+    for solve in (wasserstein_dual_solve,
+                  lambda *a: regularized_dual_solve(*a, smoothing=SmoothingConfig(5.0))):
+        with pytest.raises(InfeasiblePrimal):
+            solve(p0, f, 0.5)
+        # at epsilon = reach the bracket is unbounded: refused, not clamped
+        with pytest.raises(NumericalError) as refused:
+            solve(p0, f, 1.0)
+        assert not isinstance(refused.value, InfeasiblePrimal)
+    assert primal_oracle(p0, f, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_primal_oracle_hands_highs_few_columns(monkeypatch):

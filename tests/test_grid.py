@@ -1,4 +1,4 @@
-"""The per-axis transport kernel on Cartesian grids against the dense N x N one."""
+"""The per-axis transport kernel on Cartesian grids against a plain N x N reference."""
 import math
 
 import numpy as np
@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from drobandit import ope, opl
 from drobandit.distributions import SupportSet, make_distribution
-from drobandit.duals import _grid_objective, _transport_objective, solve_transport_duals
+from drobandit.duals import _grid_objective, solve_transport_duals
 from drobandit.errors import InstanceTooLarge
 from drobandit.ope import RobustCostTable
 from drobandit.opl import Parameterization, exact_opl, smoothed_learning_objective
 from drobandit.transport import MAX_PAIRWISE_CELLS, GridCost, GroundCost, grid_levels
+
+from oracles import transport_dual_reference
 
 CLAMP, SOFTMAX = Parameterization.GROUP_PROB_CLAMP, Parameterization.GROUP_SOFTMAX
 
@@ -44,19 +46,6 @@ def draw_problems(levels, data):
     return points, raw / raw.sum(axis=1, keepdims=True), values
 
 
-def exact_slope_range(weights, values, cmat, lam, epsilon):
-    """Ends of the exact dual's subdifferential at `lam`: the argmax cost, over
-    the candidates that tie for the max within rounding, at its max and min."""
-    z = values[:, None, :] - lam[:, None, None] * cmat
-    top = z.max(axis=-1, keepdims=True)
-    scale = np.abs(values).max(axis=1)[:, None, None] + 1.0
-    tied = z >= top - 1e-12 * scale
-    high = np.where(tied, cmat, -np.inf).max(axis=-1)
-    low = np.where(tied, cmat, np.inf).min(axis=-1)
-    return (epsilon - np.einsum("pi,pi->p", weights, high),
-            epsilon - np.einsum("pi,pi->p", weights, low))
-
-
 @settings(max_examples=300, deadline=None)
 @given(levels=GRIDS, data=st.data(), epsilon=EPSILONS, eta=ETAS)
 def test_grid_objective_matches_dense(levels, data, epsilon, eta):
@@ -65,27 +54,23 @@ def test_grid_objective_matches_dense(levels, data, epsilon, eta):
     cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(points, points)
     atoms = weights.any(axis=0)
     w, p = weights[:, atoms], len(values)
-    dense = _transport_objective(w, values, cmat[atoms], epsilon, eta, p)
-    per_axis = _grid_objective(w, np.flatnonzero(atoms), values, grid, epsilon, eta, p)
     # multipliers across the solver's bracket, its ends included
     slack = 0.0 if eta is None else math.log(len(points)) / eta
     hi = (np.ptp(values, axis=1) + slack) / epsilon
     lam = hi * np.array(data.draw(st.lists(st.sampled_from([0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0]),
                                            min_size=p, max_size=p), label="at"))
-    index = np.arange(p)
-    (fd, gd, hd), (fg, gg, hg) = dense(index, lam), per_axis(index, lam)
+    fd, (low, high), hd = transport_dual_reference(w, values, cmat[atoms], lam, epsilon, eta)
+    fg, gg, hg = _grid_objective(w, np.flatnonzero(atoms), values, grid, epsilon, eta,
+                                 p)(np.arange(p), lam)
     scale = epsilon * lam + np.abs(values).max(axis=1) + 1.0
     np.testing.assert_allclose(fg, fd, rtol=0, atol=1e-12 * scale.max())
-    mean_cost = epsilon - gd  # sum_i w_i E[c]: the scale of slope and curvature
+    mean_cost = epsilon - low  # sum_i w_i E[c]: the scale of slope and curvature
     if eta is None:
-        low, high = exact_slope_range(w, values, cmat[atoms], lam, epsilon)
         margin = 1e-12 * (epsilon + mean_cost)
         assert np.all(low - margin <= gg) and np.all(gg <= high + margin)
         assert np.all(hg == 0.0)
     else:
-        np.testing.assert_allclose(gg, gd, rtol=0, atol=1e-9 * (epsilon + mean_cost).max())
-        # the dense curvature is E[c^2] - E[c]^2, which cancels to about
-        # eps * E[c^2]; the per-axis one is summed from centered terms
+        np.testing.assert_allclose(gg, high, rtol=0, atol=1e-9 * (epsilon + mean_cost).max())
         second = eta * w @ cmat[atoms].max(axis=1) ** 2
         np.testing.assert_allclose(hg, hd, rtol=1e-9, atol=1e-12 * second.max())
 
@@ -117,7 +102,7 @@ def test_grid_levels_detects_the_full_support_and_nothing_else():
     assert grid_levels(shuffled) is None
     assert grid_levels(points[1:]) is None  # one point missing
     assert grid_levels(np.vstack([points[:-1], points[:1] + 0.5])) is None  # same count
-    assert grid_levels(levels[0]) is None  # 1-d: left to the dense kernel
+    assert grid_levels(levels[0]) is None  # 1-d: left to the dense matrix
     assert grid_levels(levels[0][:, None]) is None
 
 
@@ -141,7 +126,7 @@ def test_shared_costs_take_the_grid_path_only_on_grids():
 # -- learning on a grid --------------------------------------------------------
 
 def dense_only(monkeypatch):
-    """Hide every grid from the learners, so they take the dense kernel."""
+    """Hide every grid from the learners, so they pass the dense matrix."""
     monkeypatch.setattr(ope, "grid_levels", lambda points: None)
     monkeypatch.setattr(opl, "grid_levels", lambda points: None)
 

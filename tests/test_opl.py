@@ -27,10 +27,11 @@ from drobandit import (
 from drobandit import opl
 from drobandit.data import canonical_rate_config, sample_dataset
 from drobandit.errors import DimensionTooLarge, InvalidConfig, UnknownContext
-from drobandit.duals import smoothed_inner_values
 from drobandit.ope import solve_shared_support
 from drobandit.opl import policy_costs_and_grads, project_theta
 from drobandit.transport import MAX_PAIRWISE_CELLS, GroundCost
+
+from oracles import transport_dual_reference
 
 CLAMP = Parameterization.GROUP_PROB_CLAMP
 SOFTMAX = Parameterization.GROUP_SOFTMAX
@@ -329,8 +330,9 @@ def test_objective_in_row_blocks_equals_full_matrix():
     value = smoothed_learning_objective(params, 0.7, table, context_dist, 6.0, 0.2)
     costs, _ = policy_costs_and_grads(params, table)
     cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(support.points, support.points)
-    full = float(0.2 * 0.7 + context_dist.weights @ smoothed_inner_values(0.7, costs, cmat, 6.0))
-    assert value == full
+    full, _, _ = transport_dual_reference(context_dist.weights[None], costs[None], cmat,
+                                          np.array([0.7]), 0.2, 6.0)
+    assert abs(value - full[0]) <= 1e-12
 
 
 def test_objective_with_zero_weight_contexts_equals_full_matrix():
@@ -346,8 +348,9 @@ def test_objective_with_zero_weight_contexts_equals_full_matrix():
     value = smoothed_learning_objective(params, 0.7, table, context_dist, 6.0, 0.2)
     costs, _ = policy_costs_and_grads(params, table)
     cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(support.points, support.points)
-    full = float(0.2 * 0.7 + context_dist.weights @ smoothed_inner_values(0.7, costs, cmat, 6.0))
-    assert value == full
+    full, _, _ = transport_dual_reference(context_dist.weights[None], costs[None], cmat,
+                                          np.array([0.7]), 0.2, 6.0)
+    assert abs(value - full[0]) <= 1e-12
 
 
 def test_bsgd_runs_above_the_pairwise_limit_in_bounded_memory():
