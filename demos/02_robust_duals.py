@@ -12,14 +12,12 @@ import numpy as np
 
 from drobandit import (
     CostVector,
-    SmoothingConfig,
     SupportSet,
     dual_objective,
     kl_dual_solve,
     lse,
     make_distribution,
     primal_oracle,
-    regularized_dual_solve,
     wasserstein_dual_solve,
 )
 
@@ -49,7 +47,7 @@ print(f"primal LP  : value {certificate:.6f}  -> duality gap {abs(solution.value
 # smoothing: log-sum-exp replaces the inner max; the error is at most log(n)/eta
 print("\nsmoothed duals (uniform reference over the 5 candidate points):")
 for eta in (2.0, 10.0, 100.0, 1000.0):
-    smoothed = regularized_dual_solve(nominal, cost, epsilon, smoothing=SmoothingConfig(eta))
+    smoothed = wasserstein_dual_solve(nominal, cost, epsilon, eta=eta)
     bound = math.log(len(support)) / eta
     print(f"  eta {eta:7.1f}: value {smoothed.value:.6f}"
           f"  |gap to exact| {abs(smoothed.value - solution.value):.2e} <= {bound:.2e}")

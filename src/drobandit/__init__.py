@@ -16,12 +16,10 @@ from .duals import (
     NON_ROBUST_SHORTCUT,
     CostVector,
     DualSolution,
-    SmoothingConfig,
     dual_objective,
     kl_dual_solve,
     lse,
     primal_oracle,
-    regularized_dual_solve,
     wasserstein_dual_solve,
 )
 from .transport import (

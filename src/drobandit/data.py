@@ -57,7 +57,6 @@ class BanditDataset:
     actions: tuple
     xi_support: SupportSet
     y_max: float
-    behavior_policy: Policy | None = None
     diagnostics: DatasetDiagnostics = field(default=None)
 
     def __post_init__(self):
@@ -383,10 +382,6 @@ class ShiftSpec:
     context_extension: tuple = ()
     xi_scale: dict | None = None
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.context_scale and not self.context_extension and not self.xi_scale
-
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -502,7 +497,6 @@ def sample_dataset(context_dist: DiscreteDistribution, xi_dists, behavior: Polic
         actions=tuple(f"a{i}" for i in range(n_a)),
         xi_support=cost_model.xi_support,
         y_max=cost_model.y_max,
-        behavior_policy=behavior,
     )
 
 

@@ -12,8 +12,10 @@ lives in [0, f_max/(epsilon - reach)], reach = E_nominal[min_zeta c(x, zeta)]
 being 0 when every atom is a candidate. The entropy-smoothed variant replaces
 the inner max with a log-sum-exp at sharpness eta against the uniform
 reference measure, which keeps the value within log(support size)/eta of the
-exact one. The KL-ball dual and an exact-LP primal oracle complete the
-toolbox.
+exact one. Every transport entry spells the choice as one float `eta`, None
+being the exact dual, and checks its arguments through
+:func:`check_transport_arguments`. The KL-ball dual and an exact-LP primal
+oracle complete the toolbox.
 
 One kernel solves every dual: :func:`convex_minimize` runs a batch of
 problems in lockstep. Each evaluation returns the objective's slope from
@@ -47,7 +49,9 @@ from .transport import GridCost, GroundCost, solve_max_lp
 
 _MACHINE_EPS = float(np.finfo(np.float64).eps)
 
-#: marker stored on solutions returned by the epsilon = 0 convention
+#: marker on solutions whose value comes from a closed form, not a search: the
+#: nominal expectation at epsilon = 0, and the exact transport dual's limit at
+#: epsilon = reach > 0 (see :func:`solve_transport_duals`)
 NON_ROBUST_SHORTCUT = "non_robust_epsilon_zero"
 
 #: cells of the (problems x atoms x candidates) temporary of one batched step
@@ -93,17 +97,6 @@ class DualSolution:
     bracket: tuple[float, float]
     gap: float
     shortcut: str | None = None
-
-
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Sharpness of the log-sum-exp smoothing (uniform reference measure)."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not self.eta > 0:
-            raise NonPositiveEta(f"eta must be positive, got {self.eta}")
 
 
 def lse(values, eta: float) -> float:
@@ -204,9 +197,19 @@ class DualBatch:
                             float(self.gap[p]), self.shortcut)
 
 
-def _tolerances(epsilon, tol, f_max: np.ndarray) -> np.ndarray:
+def check_transport_arguments(epsilon, eta=None, lam=0.0) -> None:
+    """Reject a negative radius `epsilon` or multiplier `lam`, and an `eta` that
+    is not positive (None is the exact dual), with their typed errors."""
+    if lam < 0:
+        raise NegativeLambda(f"lam must be non-negative, got {lam}")
     if epsilon < 0:
         raise NegativeEpsilon(f"epsilon must be non-negative, got {epsilon}")
+    if eta is not None and not eta > 0:
+        raise NonPositiveEta(f"eta must be positive, got {eta}")
+
+
+def _tolerances(epsilon, tol, f_max: np.ndarray, eta=None) -> np.ndarray:
+    check_transport_arguments(epsilon, eta)
     if tol is not None and not tol > 0:
         raise InvalidTolerance(f"tolerance must be positive, got {tol}")
     return np.where(f_max > 0, 1e-9 * f_max, 1e-12) if tol is None else np.full(f_max.shape, tol)
@@ -357,7 +360,9 @@ def transport_objective(lam, weights, values, cost, epsilon, eta=None) -> float:
     plus the `weights`-mean over atoms of the inner max (`eta` None) or
     log-sum-exp (uniform reference) over candidates of values - lam * c, from
     the solvers' kernel (:func:`_grid_objective`). `cost` is the atoms x
-    candidates matrix or a :class:`GridCost`."""
+    candidates matrix or a :class:`GridCost`. The arguments are checked by
+    :func:`check_transport_arguments`."""
+    check_transport_arguments(epsilon, eta, lam)
     weights = np.asarray(weights, dtype=np.float64)
     rows = np.flatnonzero(weights)
     fn = _grid_objective(weights[None, rows], rows, np.asarray(values, dtype=np.float64)[None],
@@ -389,20 +394,36 @@ def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
     Moving the atoms onto the candidates costs at least reach = sum_i w_i
     min_j c(x_i, zeta_j), 0 when every atom is a candidate. A radius below
     reach admits no coupling: :class:`InfeasiblePrimal`. At epsilon = reach >
-    0 the search bound below is infinite and the smoothed minimum is not
-    attained, so no bracket certifies the value: :class:`NumericalError`.
+    0 the search bound below is infinite. The exact objective is flat past its
+    last breakpoint, at sum_i w_i max{f_j : c(x_i, zeta_j) = reach_i} with
+    reach_i = min_j c(x_i, zeta_j), so that limit is its minimum: it is
+    returned with gap 0 at that breakpoint, flagged via
+    :data:`NON_ROBUST_SHORTCUT`, when every problem of the batch is at its
+    reach. The smoothed minimum is not attained there, and a batch only partly
+    at its reach has no single flag, so both raise :class:`NumericalError`.
     """
     weights, values = np.asarray(weights, dtype=np.float64), np.asarray(values, dtype=np.float64)
     grid = isinstance(cost_matrix, GridCost)
     if not grid:
         cost_matrix = np.asarray(cost_matrix, dtype=np.float64)
     f_max = values.max(axis=1)
-    tol = _tolerances(epsilon, tol, f_max)
+    tol = _tolerances(epsilon, tol, f_max, eta)
     if epsilon == 0:
         return _plugin_batch(np.einsum("pi,pi->p", weights, values) if plugin is None
                              else plugin, f_max)
     reach = 0.0 if grid else weights @ cost_matrix.min(axis=1)
     if np.any(reach >= epsilon):
+        if eta is None and np.all(reach == epsilon):
+            extra = cost_matrix - cost_matrix.min(axis=1, keepdims=True)
+            best = np.where(extra == 0, values[:, None, :], -np.inf).max(axis=2)
+            # atom i's inner max stays on its nearest candidates once lam >=
+            # (f_j - best_i) / extra_ij for every other candidate j
+            kink = np.divide(values[:, None, :] - best[:, :, None], extra,
+                             out=np.zeros(best.shape + extra.shape[1:]), where=extra > 0)
+            lam = np.where(weights > 0, kink.max(axis=2), 0.0).max(axis=1)
+            return DualBatch(lam, np.einsum("pi,pi->p", weights, best),
+                             np.zeros(len(lam), dtype=np.int64), lam, np.zeros(len(lam)),
+                             NON_ROBUST_SHORTCUT)
         raise (InfeasiblePrimal if np.any(reach > epsilon) else NumericalError)(
             f"radius {epsilon} does not exceed {np.max(reach)}, the least cost of moving "
             "the atoms onto the candidates")
@@ -486,17 +507,14 @@ def _values_at_atoms(p0: DiscreteDistribution, f: CostVector) -> np.ndarray:
 
 def dual_objective(lam: float, p0: DiscreteDistribution, f: CostVector,
                    epsilon: float) -> float:
-    """Evaluate eps*lam + E_p0[ max_zeta ( f(zeta) - lam*c(x, zeta) ) ]."""
-    if lam < 0:
-        raise NegativeLambda(f"lam must be non-negative, got {lam}")
-    if epsilon < 0:
-        raise NegativeEpsilon(f"epsilon must be non-negative, got {epsilon}")
+    """Evaluate eps*lam + E_p0[ max_zeta ( f(zeta) - lam*c(x, zeta) ) ]
+    (:func:`transport_objective`, which checks the arguments)."""
     cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)
     return transport_objective(lam, p0.weights, f.values, cmat, epsilon)
 
 
 def wasserstein_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: float,
-                           tol: float | None = None) -> DualSolution:
+                           tol: float | None = None, eta: float | None = None) -> DualSolution:
     """Worst-case expectation of f over the transport ball of radius epsilon.
 
     Minimizes the convex dual objective over lam in [0, f_max/(epsilon -
@@ -508,30 +526,17 @@ def wasserstein_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: flo
     unless rounding leaves no room to search, which the gap then shows. With
     epsilon = 0 the non-robust expectation E_p0[f] is returned with gap 0,
     flagged via :data:`NON_ROBUST_SHORTCUT`.
+
+    A positive `eta` solves the entropy-smoothed dual instead: the inner
+    maximum becomes a log-sum-exp at sharpness eta with uniform reference
+    weights over the candidate support, so the value stays within
+    log(|support|)/eta of the exact dual while being smooth in every
+    argument, and safeguarded Newton steps take over. The bracket widens to
+    [0, (f_max + log(|support|)/eta) / (epsilon - reach)].
     """
     cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)
     plugin = float(p0.weights @ _values_at_atoms(p0, f)) if epsilon == 0 else None
-    return solve_transport_dual(p0.weights, f.values, cmat, epsilon, tol, plugin_value=plugin)
-
-
-def regularized_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: float,
-                           smoothing: SmoothingConfig | None = None,
-                           tol: float | None = None) -> DualSolution:
-    """Entropy-smoothed variant of :func:`wasserstein_dual_solve`.
-
-    The inner maximum becomes a log-sum-exp at sharpness `smoothing.eta`
-    with uniform reference weights over the candidate support, so the value
-    stays within log(|support|)/eta of the exact dual while being smooth in
-    every argument. The bracket widens to [0, (f_max + log(|support|)/eta) /
-    (epsilon - reach)].
-    """
-    if smoothing is None:
-        raise NonPositiveEta("a SmoothingConfig with positive eta is required")
-    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)
-    plugin = float(p0.weights @ _values_at_atoms(p0, f)) if epsilon == 0 else None
-    return solve_transport_dual(
-        p0.weights, f.values, cmat, epsilon, tol, eta=smoothing.eta, plugin_value=plugin
-    )
+    return solve_transport_dual(p0.weights, f.values, cmat, epsilon, tol, eta, plugin)
 
 
 def kl_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: float,

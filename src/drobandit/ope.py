@@ -133,9 +133,11 @@ def solve_shared_support(weights: np.ndarray, values: np.ndarray,
                          tol: float | None = None) -> DualSolution | DualBatch:
     """Dispatch to the chosen dual solver; atoms and candidates coincide.
     1-d `weights` and `values` give a DualSolution, (P, n) arrays a DualBatch.
-    The KL method ignores `cost_matrix`, which may then be None."""
+    The KL method ignores `cost_matrix`, which may then be None. The
+    transport solvers check `eta`; here only its absence is refused for
+    "regularized", where None would mean the exact dual."""
     batch = np.ndim(values) == 2
-    if method == "regularized" and (eta is None or not eta > 0):
+    if method == "regularized" and eta is None:
         raise NonPositiveEta("method 'regularized' needs a positive eta")
     if method in ("exact", "regularized"):
         solve = solve_transport_duals if batch else solve_transport_dual
@@ -284,12 +286,8 @@ def rate_experiment(config, n_grid, trials: int, seed: int,
                 ds, config.cost_model, epsilon_c, method, eta, tol,
                 impute_missing_ymax=True,
             )
-            p_hat = DiscreteDistribution(
-                config.context_dist.support,
-                np.bincount(ds.context_idx, minlength=len(config.context_dist.support))
-                / ds.n,
-            )
-            v_hat = evaluate_policy(policy, table, p_hat, epsilon_x, method, eta, tol).value
+            v_hat = evaluate_policy(policy, table, ds.empirical_context_distribution(),
+                                    epsilon_x, method, eta, tol).value
             errs[t] = abs(v_hat - v_true)
         med = float(np.median(errs))
         rows.append((n, med))

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, SupportSet
-from .duals import _BLOCK_CELLS, problem_cells, transport_objective
+from .duals import (_BLOCK_CELLS, check_transport_arguments, problem_cells,
+                    transport_objective)
 from .errors import (
     DimensionTooLarge,
     IncompleteTable,
@@ -207,12 +208,7 @@ class BsgdConfig:
     """Knobs of the biased-SGD loop.
 
     The step size is `gamma` when given, otherwise `gamma_scale / sqrt(T)`
-    held constant over the run. `lambda_cap` defaults to y_max / epsilon_x.
-    That bounds the minimizer of the exact dual only: the smoothed dual this
-    loop descends can have its minimizer up to (y_max + log(N)/eta) /
-    epsilon_x over N contexts (the bracket of
-    :func:`~drobandit.duals.solve_transport_duals`), so the default cap may
-    clamp lambda below it.
+    held constant over the run.
     """
 
     iterations: int
@@ -223,7 +219,6 @@ class BsgdConfig:
     gamma: float | None = None
     gamma_scale: float = 0.5
     lambda0: float = 0.0
-    lambda_cap: float | None = None
 
     def __post_init__(self):
         if self.iterations < 1 or self.inner_batch < 1:
@@ -304,7 +299,11 @@ def bsgd_learn(table: RobustCostTable, context_dist: DiscreteDistribution,
     support (in that order, from a single generator seeded by the config, so
     runs are reproducible bit for bit). Theta follows the projected gradient
     step of its parameterization; the dual variable is clamped to
-    [0, lambda_cap]. The final iterate is returned together with the full
+    [0, y_max / epsilon_x]. That cap bounds the minimizer of the exact dual
+    only: the smoothed dual this loop descends can have its minimizer up to
+    (y_max + log(N)/eta) / epsilon_x over N contexts (the bracket of
+    :func:`~drobandit.duals.solve_transport_duals`), so the cap may clamp
+    lambda below it. The final iterate is returned together with the full
     trace; no averaging is applied.
 
     An iteration costs O(inner_batch * (dim(support) + dim(theta))) whatever
@@ -321,10 +320,7 @@ def bsgd_learn(table: RobustCostTable, context_dist: DiscreteDistribution,
     theta = project_theta(policy0.theta, k, kind)
     lam = float(config.lambda0)
     y_max = float(table.m_hat.max())
-    cap = config.lambda_cap
-    if cap is None:
-        cap = y_max / config.epsilon_x if config.epsilon_x > 0 else math.inf
-    cap = float(cap)
+    cap = y_max / config.epsilon_x if config.epsilon_x > 0 else math.inf
 
     points = support.points
     n = len(support)
@@ -372,8 +368,10 @@ def smoothed_learning_objective(params: PolicyParams, lam: float,
     log-sum-exps run axis by axis. Otherwise one call per row block of the
     cost matrix, of at most `duals._BLOCK_CELLS` entries, so no support x
     support matrix is held at once. Contexts of zero weight are not
-    evaluated.
+    evaluated. The arguments are checked by
+    :func:`~drobandit.duals.check_transport_arguments`.
     """
+    check_transport_arguments(epsilon_x, eta, lam)
     _check_table(params, table)
     costs = _policy_costs(params.theta, _slots(params.grouping, params.n_actions),
                           table.m_hat, params.parameterization)

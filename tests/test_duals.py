@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 from drobandit import (
     NON_ROBUST_SHORTCUT,
     CostVector,
-    SmoothingConfig,
     SupportSet,
     dual_objective,
     kl_dual_solve,
     lse,
     make_distribution,
     primal_oracle,
-    regularized_dual_solve,
     wasserstein_dual_solve,
 )
+from drobandit.ope import Policy, RobustCostTable, evaluate_policy
+from drobandit.opl import Parameterization, PolicyParams, exact_opl, smoothed_learning_objective
 from drobandit import duals
 from drobandit.distributions import match_indices
 from drobandit.duals import _grid_pass, convex_minimize
@@ -196,7 +196,7 @@ def test_smoothed_inner_values_floor_leaves_values_unchanged():
 
 
 def test_regularized_large_eta_matches_exact():
-    sol = regularized_dual_solve(UNIFORM01, STEP_COST, 0.25, smoothing=SmoothingConfig(1e4))
+    sol = wasserstein_dual_solve(UNIFORM01, STEP_COST, 0.25, eta=1e4)
     assert abs(sol.value - 0.75) <= math.log(2) / 1e4 + 1e-7
 
 
@@ -206,9 +206,9 @@ def test_regularized_constant_costs():
     # log(n)/eta, and they equal the constant exactly once eta is sharp
     const = CostVector(S01, np.array([0.4, 0.4]))
     for eta in (0.5, 5.0, 500.0):
-        sol = regularized_dual_solve(UNIFORM01, const, 0.3, smoothing=SmoothingConfig(eta))
+        sol = wasserstein_dual_solve(UNIFORM01, const, 0.3, eta=eta)
         assert abs(sol.value - 0.4) <= math.log(2) / eta + 1e-9
-    sharp = regularized_dual_solve(UNIFORM01, const, 0.3, smoothing=SmoothingConfig(1e6))
+    sharp = wasserstein_dual_solve(UNIFORM01, const, 0.3, eta=1e6)
     assert sharp.value == pytest.approx(0.4, abs=1e-5)
 
 
@@ -216,7 +216,7 @@ def test_regularized_single_point_support():
     single = SupportSet.from_scalars([2.0])
     p = make_distribution(single, [1.0])
     f = CostVector(single, np.array([0.9]))
-    sol = regularized_dual_solve(p, f, 0.5, smoothing=SmoothingConfig(3.0))
+    sol = wasserstein_dual_solve(p, f, 0.5, eta=3.0)
     assert sol.value == pytest.approx(0.9, abs=1e-12)
     assert sol.lambda_star == pytest.approx(0.0, abs=1e-9)
 
@@ -228,7 +228,7 @@ def test_regularized_bracket_holds_the_minimizer():
     support = SupportSet(rng.random((20, 2)))
     f = CostVector(support, rng.random(20))
     p0 = make_distribution(support, np.full(20, 0.05))
-    sol = regularized_dual_solve(p0, f, 0.1, smoothing=SmoothingConfig(0.5))
+    sol = wasserstein_dual_solve(p0, f, 0.1, eta=0.5)
     objective = smoothed_objective(p0, f, 0.1, 0.5)
     grid = np.linspace(0.0, 100.0, 20001)
     for _ in range(3):  # convex: zoom in on the best grid cell
@@ -240,11 +240,50 @@ def test_regularized_bracket_holds_the_minimizer():
     assert sol.lambda_star < sol.bracket[1] * (1 - 1e-6)
 
 
-def test_regularized_requires_eta():
-    with pytest.raises(NonPositiveEta):
-        SmoothingConfig(0.0)
-    with pytest.raises(NonPositiveEta):
-        regularized_dual_solve(UNIFORM01, STEP_COST, 0.25, smoothing=None)
+def _contract_entries():
+    """Every entry that reaches a transport dual, as a call (epsilon, eta, lam),
+    with the arguments it takes besides epsilon."""
+    rng = np.random.default_rng(7)
+    points = rng.random((6, 2))  # not a grid: the dense path
+    p0 = make_distribution(SupportSet(points), np.full(6, 1 / 6))
+    f = CostVector(SupportSet(points), rng.random(6))
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(points, points)
+    table = RobustCostTable(rng.random((6, 2)), method="exact", epsilon_c=0.1)
+    clamp = Parameterization.GROUP_PROB_CLAMP
+    params = PolicyParams(np.array([0.5]), np.zeros(6, dtype=np.int64), 2, clamp)
+    return {
+        "solve_transport_duals": (("eta",), lambda eps, eta, lam: duals.solve_transport_duals(
+            p0.weights[None], f.values[None], cmat, eps, eta=eta)),
+        "transport_objective": (("eta", "lam"), lambda eps, eta, lam: duals.transport_objective(
+            lam, p0.weights, f.values, cmat, eps, eta)),
+        "dual_objective": (("lam",), lambda eps, eta, lam: dual_objective(lam, p0, f, eps)),
+        "wasserstein_dual_solve": (("eta",), lambda eps, eta, lam: wasserstein_dual_solve(
+            p0, f, eps, eta=eta)),
+        "smoothed_learning_objective": (("eta", "lam"), lambda eps, eta, lam:
+                                        smoothed_learning_objective(params, lam, table, p0,
+                                                                    eta, eps)),
+        "exact_opl": (("eta",), lambda eps, eta, lam: exact_opl(
+            table, p0, params.grouping, clamp, eps, method="regularized", eta=eta,
+            resolution=3)),
+        "evaluate_policy": (("eta",), lambda eps, eta, lam: evaluate_policy(
+            Policy.uniform(6, 2), table, p0, eps, method="regularized", eta=eta)),
+    }
+
+
+BAD_ARGUMENTS = (("eta", 0.0, NonPositiveEta), ("eta", -1.0, NonPositiveEta),
+                 ("epsilon", -0.1, NegativeEpsilon), ("lam", -1.0, NegativeLambda))
+
+
+@pytest.mark.parametrize("entry, name, bad, error", [
+    (entry, name, bad, error) for entry, (takes, _) in _contract_entries().items()
+    for name, bad, error in BAD_ARGUMENTS if name == "epsilon" or name in takes])
+def test_transport_entries_reject_bad_arguments(entry, name, bad, error):
+    takes, call = _contract_entries()[entry]
+    good = {"epsilon": 0.1, "eta": 5.0 if "eta" in takes else None, "lam": 1.0}
+    call(good["epsilon"], good["eta"], good["lam"])  # the good arguments pass
+    good[name] = bad
+    with pytest.raises(error):
+        call(good["epsilon"], good["eta"], good["lam"])
 
 
 # -- KL dual -------------------------------------------------------------------------
@@ -387,10 +426,11 @@ def test_primal_oracle_reduced_lp_matches_the_full_lp(points, data, scale):
 
 @settings(max_examples=80, deadline=None)
 @given(points=GRID_POINTS, data=st.data(),
-       scale=st.sampled_from([0.5, 0.99, 1.01, 1.5, 4.0, 1e3]))
+       scale=st.sampled_from([0.5, 0.99, 1.0, 1.01, 1.5, 4.0, 1e3]))
 def test_dual_matches_the_primal_when_no_atom_is_a_candidate(points, data, scale):
-    # the dual's bracket must reach past f_max / epsilon, and a budget below
-    # the cheapest move must be refused, as the primal refuses it
+    # the dual's bracket must reach past f_max / epsilon, a budget below the
+    # cheapest move must be refused, as the primal refuses it, and a budget of
+    # exactly that move (scale 1) gives the exact dual's flat limit
     p0, f = draw_off_atom_instance(points, data)
     cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)
     eps = scale * float(p0.weights @ cmat.min(axis=1))
@@ -411,17 +451,23 @@ def test_dual_bracket_when_the_atom_is_not_a_candidate():
     assert sol.lambda_star > f.f_max / 1.01  # beyond the bracket that ignored reach
     assert sol.value == pytest.approx(primal_oracle(p0, f, 1.01), abs=1e-9)
     assert sol.value == pytest.approx(0.497512437810945, abs=1e-9)
-    smooth = regularized_dual_solve(p0, f, 1.01, smoothing=SmoothingConfig(50.0))
+    smooth = wasserstein_dual_solve(p0, f, 1.01, eta=50.0)
     assert sol.value - math.log(2) / 50.0 <= smooth.value <= sol.value + 1e-9
-    for solve in (wasserstein_dual_solve,
-                  lambda *a: regularized_dual_solve(*a, smoothing=SmoothingConfig(5.0))):
+    for eta in (None, 5.0):
         with pytest.raises(InfeasiblePrimal):
-            solve(p0, f, 0.5)
-        # at epsilon = reach the bracket is unbounded: refused, not clamped
-        with pytest.raises(NumericalError) as refused:
-            solve(p0, f, 1.0)
-        assert not isinstance(refused.value, InfeasiblePrimal)
+            wasserstein_dual_solve(p0, f, 0.5, eta=eta)
+    # at epsilon = reach the bracket is unbounded. The exact objective is flat
+    # past lam = 1 / 0.0201, at the value of the nearest candidate: 0
+    limit = wasserstein_dual_solve(p0, f, 1.0)
+    assert limit.value == 0.0 and limit.gap == 0.0
+    assert limit.lambda_star == pytest.approx(1 / 0.0201, rel=1e-12)
+    assert limit.shortcut == NON_ROBUST_SHORTCUT
+    assert dual_objective(limit.lambda_star, p0, f, 1.0) == pytest.approx(0.0, abs=1e-12)
     assert primal_oracle(p0, f, 1.0) == pytest.approx(0.0, abs=1e-12)
+    # the smoothed minimum is not attained there: refused, not clamped
+    with pytest.raises(NumericalError) as refused:
+        wasserstein_dual_solve(p0, f, 1.0, eta=5.0)
+    assert not isinstance(refused.value, InfeasiblePrimal)
 
 
 def test_primal_oracle_hands_highs_few_columns(monkeypatch):
@@ -498,7 +544,7 @@ def test_certified_gap_brackets_the_true_minimum(points, data, eps, method, eta)
         sol = wasserstein_dual_solve(p0, f, eps)
         truth, slack = primal_oracle(p0, f, eps), 1e-9  # HiGHS feasibility tolerance
     elif method == "regularized":
-        sol = regularized_dual_solve(p0, f, eps, smoothing=SmoothingConfig(eta))
+        sol = wasserstein_dual_solve(p0, f, eps, eta=eta)
         hi = 2.0 * (spread + math.log(len(f.support)) / eta) / eps
         truth, slack = grid_minimum(smoothed_objective(p0, f, eps, eta), hi), 1e-12
     else:
@@ -548,7 +594,7 @@ def test_value_monotone_in_epsilon_for_all_solvers():
         p0, f = random_dual_instance(rng, max_support=8)
         for solver in (
             lambda e: wasserstein_dual_solve(p0, f, e).value,
-            lambda e: regularized_dual_solve(p0, f, e, smoothing=SmoothingConfig(50.0)).value,
+            lambda e: wasserstein_dual_solve(p0, f, e, eta=50.0).value,
             lambda e: kl_dual_solve(p0, f, e).value,
         ):
             values = [solver(e) for e in eps_grid]
@@ -562,7 +608,7 @@ def test_regularization_gap_bounded_by_lse_sandwich():
             p0, f = random_dual_instance(rng)
             eps = float(rng.choice(EPS_GRID))
             exact = wasserstein_dual_solve(p0, f, eps).value
-            smooth = regularized_dual_solve(p0, f, eps, smoothing=SmoothingConfig(eta)).value
+            smooth = wasserstein_dual_solve(p0, f, eps, eta=eta).value
             assert abs(exact - smooth) <= math.log(len(f.support)) / eta + 1e-7
 
 
