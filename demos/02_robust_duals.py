@@ -3,8 +3,8 @@
 The worst-case expectation of a bounded cost over a transport ball reduces to
 a convex one-dimensional problem in the dual variable lambda. This script
 plots (in ASCII) the dual objective, solves it exactly, certifies the value
-against the primal linear program, then shows the entropy-smoothed dual and
-the KL-ball dual on the same instance.
+against the exact primal (a greedy pass over the transport budget), then shows
+the entropy-smoothed dual and the KL-ball dual on the same instance.
 """
 import math
 
@@ -42,7 +42,7 @@ certificate = primal_oracle(nominal, cost, epsilon)
 print(f"\nexact dual : value {solution.value:.6f} at lambda* {solution.lambda_star:.4f}"
       f" ({solution.iterations} evaluations on bracket {solution.bracket},"
       f" certified gap {solution.gap:.1e})")
-print(f"primal LP  : value {certificate:.6f}  -> duality gap {abs(solution.value - certificate):.2e}")
+print(f"primal     : value {certificate:.6f}  -> duality gap {abs(solution.value - certificate):.2e}")
 
 # smoothing: log-sum-exp replaces the inner max; the error is at most log(n)/eta
 print("\nsmoothed duals (uniform reference over the 5 candidate points):")

@@ -11,11 +11,10 @@ maxima of affine functions of lam), and for non-negative f the minimizer
 lives in [0, f_max/(epsilon - reach)], reach = E_nominal[min_zeta c(x, zeta)]
 being 0 when every atom is a candidate. The entropy-smoothed variant replaces
 the inner max with a log-sum-exp at sharpness eta against the uniform
-reference measure, which keeps the value within log(support size)/eta of the
-exact one. Every transport entry spells the choice as one float `eta`, None
-being the exact dual, and checks its arguments through
-:func:`check_transport_arguments`. The KL-ball dual and an exact-LP primal
-oracle complete the toolbox.
+reference measure, within log(support size)/eta of the exact one; `eta` None
+is the exact dual (arguments checked by :func:`check_transport_arguments`).
+The KL-ball dual and an exact primal oracle complete the toolbox; the oracle
+solves the transport-budget LP by a greedy pass over per-atom concave hulls.
 
 One kernel solves every dual: :func:`convex_minimize` runs a batch of
 problems in lockstep. Each evaluation returns the objective's slope from
@@ -31,13 +30,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .distributions import DiscreteDistribution, SupportSet, match_indices
 from .errors import (
     EmptyInput,
     InfeasiblePrimal,
-    InstanceTooLarge,
     InvalidTolerance,
     LengthMismatch,
     NegativeEpsilon,
@@ -45,7 +42,8 @@ from .errors import (
     NonPositiveEta,
     NumericalError,
 )
-from .transport import GridCost, GroundCost, solve_max_lp
+# perfbench/spans.py's tracer wraps duals.solve_max_lp, so the name stays here
+from .transport import GridCost, GroundCost, solve_max_lp  # noqa: F401
 
 _MACHINE_EPS = float(np.finfo(np.float64).eps)
 
@@ -213,6 +211,12 @@ def _tolerances(epsilon, tol, f_max: np.ndarray, eta=None) -> np.ndarray:
     if tol is not None and not tol > 0:
         raise InvalidTolerance(f"tolerance must be positive, got {tol}")
     return np.where(f_max > 0, 1e-9 * f_max, 1e-12) if tol is None else np.full(f_max.shape, tol)
+
+
+def _refuse_below_reach(epsilon, reach) -> None:
+    if np.any(reach > epsilon):
+        raise InfeasiblePrimal(f"radius {epsilon} is below {np.max(reach)}, the least cost "
+                               "of moving the atoms onto the candidates")
 
 
 def _plugin_batch(expected, f_max: np.ndarray) -> DualBatch:
@@ -383,24 +387,21 @@ def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
     Row p of `weights` (P, atoms) and `values` (P, candidates) is a problem;
     `cost_matrix[i, j]` is the cost from atom i to candidate j, or a
     :class:`~drobandit.transport.GridCost` when atoms and candidates are the
-    same grid, whose inner steps then run axis by axis (:func:`_grid_pass`);
-    `eta=None` is the exact dual, a positive `eta` the smoothed one. Problems
-    are solved in lockstep by :func:`convex_minimize` per block of at most
-    `_BLOCK_CELLS` cells (:func:`problem_cells` per problem), without the
-    atoms weightless in the whole block, each to a certified gap of at most
-    `tol`. `plugin` (epsilon = 0) defaults to row-wise weights . values, right
-    when atoms are the candidates.
+    same grid (the inner steps then run axis by axis, :func:`_grid_pass`);
+    `eta=None` is the exact dual, a positive `eta` the smoothed one. Blocks of
+    at most `_BLOCK_CELLS` cells (:func:`problem_cells` per problem), less
+    their weightless atoms, run in lockstep in :func:`convex_minimize`, each
+    problem to a certified gap of at most `tol`. `plugin` (epsilon = 0)
+    defaults to row-wise weights . values, right when atoms are the candidates.
 
-    Moving the atoms onto the candidates costs at least reach = sum_i w_i
-    min_j c(x_i, zeta_j), 0 when every atom is a candidate. A radius below
-    reach admits no coupling: :class:`InfeasiblePrimal`. At epsilon = reach >
-    0 the search bound below is infinite. The exact objective is flat past its
-    last breakpoint, at sum_i w_i max{f_j : c(x_i, zeta_j) = reach_i} with
-    reach_i = min_j c(x_i, zeta_j), so that limit is its minimum: it is
-    returned with gap 0 at that breakpoint, flagged via
-    :data:`NON_ROBUST_SHORTCUT`, when every problem of the batch is at its
-    reach. The smoothed minimum is not attained there, and a batch only partly
-    at its reach has no single flag, so both raise :class:`NumericalError`.
+    Every coupling costs at least reach = sum_i w_i min_j c(x_i, zeta_j), 0
+    when every atom is a candidate; a radius below it raises
+    :class:`InfeasiblePrimal`. At epsilon = reach > 0 the exact objective is
+    flat past its last breakpoint, at sum_i w_i max{f_j : c(x_i, zeta_j) =
+    min_k c(x_i, zeta_k)}: that minimum is returned with gap 0, flagged via
+    :data:`NON_ROBUST_SHORTCUT`, if every problem is at its reach. The smoothed
+    minimum is not attained there, and a batch partly at its reach has no
+    single flag: both raise :class:`NumericalError`.
     """
     weights, values = np.asarray(weights, dtype=np.float64), np.asarray(values, dtype=np.float64)
     grid = isinstance(cost_matrix, GridCost)
@@ -408,11 +409,12 @@ def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
         cost_matrix = np.asarray(cost_matrix, dtype=np.float64)
     f_max = values.max(axis=1)
     tol = _tolerances(epsilon, tol, f_max, eta)
+    reach = 0.0 if grid else weights @ cost_matrix.min(axis=1)
+    _refuse_below_reach(epsilon, reach)
     if epsilon == 0:
         return _plugin_batch(np.einsum("pi,pi->p", weights, values) if plugin is None
                              else plugin, f_max)
-    reach = 0.0 if grid else weights @ cost_matrix.min(axis=1)
-    if np.any(reach >= epsilon):
+    if np.any(reach == epsilon):
         if eta is None and np.all(reach == epsilon):
             extra = cost_matrix - cost_matrix.min(axis=1, keepdims=True)
             best = np.where(extra == 0, values[:, None, :], -np.inf).max(axis=2)
@@ -424,9 +426,8 @@ def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
             return DualBatch(lam, np.einsum("pi,pi->p", weights, best),
                              np.zeros(len(lam), dtype=np.int64), lam, np.zeros(len(lam)),
                              NON_ROBUST_SHORTCUT)
-        raise (InfeasiblePrimal if np.any(reach > epsilon) else NumericalError)(
-            f"radius {epsilon} does not exceed {np.max(reach)}, the least cost of moving "
-            "the atoms onto the candidates")
+        raise NumericalError(f"radius {epsilon} equals the least cost of moving the atoms "
+                             "onto the candidates")
     # Solve with values shifted to be >= 0. The objective is then <= f_max at
     # 0 and >= (epsilon - reach) * lam - log(n)/eta (no log term when exact),
     # taking each atom to its cheapest candidate, so lam* <= (f_max +
@@ -499,12 +500,6 @@ def solve_kl_dual(weights, values, epsilon: float, tol: float | None = None) -> 
 
 # -- typed operations ----------------------------------------------------------
 
-def _values_at_atoms(p0: DiscreteDistribution, f: CostVector) -> np.ndarray:
-    """f evaluated at the nominal atoms (requires the atoms to be in f's support)."""
-    idx = match_indices(p0.support.points, f.support)
-    return f.values[idx]
-
-
 def dual_objective(lam: float, p0: DiscreteDistribution, f: CostVector,
                    epsilon: float) -> float:
     """Evaluate eps*lam + E_p0[ max_zeta ( f(zeta) - lam*c(x, zeta) ) ]
@@ -515,86 +510,95 @@ def dual_objective(lam: float, p0: DiscreteDistribution, f: CostVector,
 
 def wasserstein_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: float,
                            tol: float | None = None, eta: float | None = None) -> DualSolution:
-    """Worst-case expectation of f over the transport ball of radius epsilon.
+    """Worst-case expectation of f over the transport ball of radius epsilon,
+    by :func:`solve_transport_duals` on the atoms x candidates costs.
 
-    Minimizes the convex dual objective over lam in [0, f_max/(epsilon -
-    reach)] (see :func:`solve_transport_duals`) with cutting-plane steps
-    (:func:`convex_minimize`). The reported value is an
-    attained objective value, so it never exceeds f_max (the value at
-    lam = 0), and the solution's `gap` certifies that the minimum lies in
-    [value - gap, value]. The gap is at most `tol` (default 1e-9 * f_max)
-    unless rounding leaves no room to search, which the gap then shows. With
-    epsilon = 0 the non-robust expectation E_p0[f] is returned with gap 0,
-    flagged via :data:`NON_ROBUST_SHORTCUT`.
-
-    A positive `eta` solves the entropy-smoothed dual instead: the inner
-    maximum becomes a log-sum-exp at sharpness eta with uniform reference
-    weights over the candidate support, so the value stays within
-    log(|support|)/eta of the exact dual while being smooth in every
-    argument, and safeguarded Newton steps take over. The bracket widens to
-    [0, (f_max + log(|support|)/eta) / (epsilon - reach)].
+    The value is an attained objective value, so never above f_max (lam = 0),
+    and `gap` certifies that the minimum lies in [value - gap, value]: at most
+    `tol` (default 1e-9 * f_max) unless rounding leaves no room to search.
+    At epsilon = 0 the non-robust E_p0[f] is returned with gap 0, flagged via
+    :data:`NON_ROBUST_SHORTCUT`. A positive `eta` solves the entropy-smoothed
+    dual (uniform reference over the candidates, within log(|support|)/eta of
+    the exact dual) with safeguarded Newton steps.
     """
     cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)
-    plugin = float(p0.weights @ _values_at_atoms(p0, f)) if epsilon == 0 else None
+    # at epsilon = 0 every atom of positive weight must sit on a candidate at
+    # cost 0, its own point, or the solver refuses the radius
+    plugin = float(p0.weights @ f.values[cmat.argmin(axis=1)]) if epsilon == 0 else None
     return solve_transport_dual(p0.weights, f.values, cmat, epsilon, tol, eta, plugin)
 
 
 def kl_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: float,
                   tol: float | None = None) -> DualSolution:
     """Worst-case expectation of f over the KL ball of radius epsilon."""
-    return solve_kl_dual(p0.weights, _values_at_atoms(p0, f), epsilon, tol)
+    values = f.values[match_indices(p0.support.points, f.support)]  # f at the atoms
+    return solve_kl_dual(p0.weights, values, epsilon, tol)
 
 
-def primal_oracle(p0: DiscreteDistribution, f: CostVector, epsilon: float) -> float:
-    """Certify the dual by solving the primal transport-budget LP.
-
-    Maximizes E_sigma[f] over couplings sigma with first marginal p0 and
-    expected transport cost at most epsilon, with HiGHS on a sparse
-    constraint matrix (:func:`drobandit.transport.solve_max_lp`, feasibility
-    tolerances 1e-10). It solves the primal only and never calls a dual
-    solver.
-
-    Only undominated coupling columns reach the LP. Each atom has one row
-    constraint and all share one budget row, so moving an atom's mass from a
-    candidate to another that costs no more and is worth at least as much
-    never hurts: such a dominated column is dropped (the dominated-column
-    rule of LP presolve). Per row, candidates are ranked by cost, ties by
-    value descending, and one is kept only if its value beats every cheaper
-    one's. The cheapest candidate always stays, so the LP is feasible exactly
-    when the full one is, and its optimum is the full LP's. Rows of zero
-    weight are dropped too: their constraint forces their mass to zero.
-
-    The full cost matrix is still built, so instances beyond 10^6 coupling
-    variables are rejected. Raises :class:`InfeasiblePrimal` when no
-    coupling fits the budget and :class:`NumericalError` on any other solver
-    failure.
-    """
-    if epsilon < 0:
-        raise NegativeEpsilon(f"epsilon must be non-negative, got {epsilon}")
-    m, n = len(p0.support), len(f.support)
-    if m * n > 1_000_000:
-        raise InstanceTooLarge(f"{m} x {n} coupling variables exceed the oracle limit")
+def _greedy_coupling(p0: DiscreteDistribution, f: CostVector, epsilon: float):
+    """:func:`primal_oracle`'s optimal coupling as (atom, candidate, mass) arrays;
+    each live atom sits on one candidate, but at most one atom splits over two."""
+    check_transport_arguments(epsilon)
     cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)
+    reach = p0.weights @ cmat.min(axis=1)  # solve_transport_duals' expression
+    _refuse_below_reach(epsilon, reach)
     live = np.flatnonzero(p0.weights > 0)
     cost = cmat[live]
     ranked = np.lexsort((np.broadcast_to(-f.values, cost.shape), cost), axis=1)
-    worth = f.values[ranked]
-    keep = np.ones(worth.shape, dtype=bool)
-    keep[:, 1:] = worth[:, 1:] > np.maximum.accumulate(worth, axis=1)[:, :-1]
-    rows, rank = np.nonzero(keep)
+    best = np.maximum.accumulate(f.values[ranked], axis=1)  # rises where one is kept
+    rows, rank = np.nonzero(np.diff(best, axis=1, prepend=-np.inf) > 0)
     cols = ranked[rows, rank]
-    budget = cost[rows, cols]
+    kept_cost = cost[rows, cols]
+    # the upper concave hull (monotone chain) of each row's kept points, from `first` on
+    c, v = kept_cost.tolist(), f.values[cols].tolist()
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    begin, end, slope = [], [], []
+    for a, b in zip(first.tolist(), first[1:].tolist() + [len(c)]):
+        hull, rises = [a], []
+        for k in range(a + 1, b):
+            while rises and (v[k] - v[hull[-1]]) / (c[k] - c[hull[-1]]) >= rises[-1]:
+                hull.pop(), rises.pop()
+            rises.append((v[k] - v[hull[-1]]) / (c[k] - c[hull[-1]]))
+            hull.append(k)
+        begin += hull[:-1]
+        end += hull[1:]
+        slope += rises
+    # each row starts on its cheapest kept column; the budget left buys whole
+    # segments, steepest first (a row's in hull order), then part of the next
+    order = np.argsort(-np.array(slope), kind="stable")
+    begin, end = (np.array(k, dtype=np.int64)[order] for k in (begin, end))
+    row, mass, width = rows[end], p0.weights[live], kept_cost[end] - kept_cost[begin]
+    spend = np.cumsum(mass[row] * width)
+    budget = epsilon - reach
+    whole = int(np.searchsorted(spend, budget, side="right"))
+    at = first.copy()
+    np.maximum.at(at, row[:whole], end[:whole])
+    atoms, columns = live, cols[at]
+    if whole < len(end):
+        i = row[whole]
+        moved = min((budget - (spend[whole - 1] if whole else 0.0)) / width[whole], mass[i])
+        mass[i] -= moved
+        atoms, columns = np.append(atoms, live[i]), np.append(columns, cols[end[whole]])
+        mass = np.append(mass, moved)
+    carries = mass > 0
+    return atoms[carries], columns[carries], mass[carries]
 
-    # variables: the kept sigma entries, then the budget slack; one row per
-    # live atom, then the budget row (zero costs left out of it)
-    r, k = len(live), len(cols)
-    priced = np.flatnonzero(budget)
-    eq = sparse.csr_matrix(
-        (np.concatenate([np.ones(k), budget[priced], [1.0]]),
-         (np.concatenate([rows, np.full(len(priced) + 1, r)]),
-          np.concatenate([np.arange(k), priced, [k]]))),
-        shape=(r + 1, k + 1))
-    rhs = np.append(p0.weights[live], epsilon)
-    obj = np.append(f.values[cols], 0.0)
-    value, _ = solve_max_lp(obj, eq, rhs)
-    return value
+
+def primal_oracle(p0: DiscreteDistribution, f: CostVector, epsilon: float) -> float:
+    """Certify the dual by solving the primal transport-budget LP exactly.
+
+    Maximizes E_sigma[f] over couplings sigma with first marginal p0 and
+    expected transport cost at most epsilon; no dual solver is called. With
+    one row per atom and one budget row, the LP is the relaxation of a
+    multiple-choice knapsack, solved exactly by a greedy pass over per-row
+    concave hulls (Sinha & Zoltners, Oper. Res. 1979; Zemel, Inf. Process.
+    Lett. 1984). Per atom of positive weight, candidates are ranked by cost,
+    ties by value descending, and kept if worth more than every cheaper one.
+    Each atom starts on its cheapest kept candidate; the budget left buys the
+    mass-weighted segments of the atoms' upper concave hulls over their kept
+    (cost, value) points, steepest first, the last one in part. A radius below
+    reach = sum_i w_i min_j c(x_i, zeta_j) (as the dual computes it) raises
+    :class:`InfeasiblePrimal`; `GroundCost.pairwise` bounds the instance size.
+    """
+    _, columns, mass = _greedy_coupling(p0, f, epsilon)
+    return float(mass @ f.values[columns])

@@ -132,9 +132,10 @@ def test_primal_budget_below_the_cheapest_move_is_infeasible():
 
 
 def test_primal_instance_too_large():
-    big = SupportSet.from_scalars(np.arange(1001.0))
-    p = make_distribution(big, np.full(1001, 1 / 1001))
-    f = CostVector(big, np.zeros(1001))
+    # 5,001^2 costs exceed MAX_PAIRWISE_CELLS: refused before the matrix exists
+    big = SupportSet.from_scalars(np.arange(5001.0))
+    p = make_distribution(big, np.full(5001, 1 / 5001))
+    f = CostVector(big, np.zeros(5001))
     with pytest.raises(InstanceTooLarge):
         primal_oracle(p, f, 1.0)
 
@@ -470,26 +471,61 @@ def test_dual_bracket_when_the_atom_is_not_a_candidate():
     assert not isinstance(refused.value, InfeasiblePrimal)
 
 
-def test_primal_oracle_hands_highs_few_columns(monkeypatch):
+def test_epsilon_zero_off_the_support_is_infeasible():
+    # the atom lies off the candidates, so even epsilon = 0 admits no coupling
+    p0 = make_distribution(SupportSet.from_scalars([0.0]), [1.0])
+    f = CostVector(SupportSet.from_scalars([1.0, 1.01]), np.array([0.0, 1.0]))
+    for solve in (primal_oracle, wasserstein_dual_solve):
+        with pytest.raises(InfeasiblePrimal):
+            solve(p0, f, 0.0)
+
+
+def test_primal_coupling_is_a_greedy_vertex():
     # instances shaped like the benchmark's: 32 atoms, costs on them and 20 more
     rng = np.random.default_rng(31)
-    solve, shapes = duals.solve_max_lp, []
-
-    def recording(objective, eq_lhs, eq_rhs):
-        shapes.append(np.shape(eq_lhs))
-        return solve(objective, eq_lhs, eq_rhs)
-
-    monkeypatch.setattr(duals, "solve_max_lp", recording)
     for eps in (0.02, 0.05, 0.1, 0.3):
         atoms = rng.random((32, 2))
         weights = rng.dirichlet(np.full(32, 2.0))
         weights[:3] = 0.0
         p0 = make_distribution(SupportSet(atoms), weights / weights.sum())
         f = CostVector(SupportSet(np.vstack([atoms, rng.random((20, 2))])), rng.random(52))
-        primal_oracle(p0, f, eps)
-        rows, columns = shapes[-1]
-        assert rows == 29 + 1  # the live atoms and the budget
-        assert 29 <= columns - 1 <= 0.15 * 32 * 52  # coupling columns, then the slack
+        rows, cols, mass = duals._greedy_coupling(p0, f, eps)
+        assert not np.isin(rows, [0, 1, 2]).any()  # zero-weight atoms carry nothing
+        per_row = np.bincount(rows, minlength=32)[3:]
+        assert per_row.min() == 1 and np.count_nonzero(per_row > 1) <= 1
+        assert per_row.max() <= 2
+        assert len(mass) <= 29 + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(points=GRID_POINTS, data=st.data(), eps=EPSILONS, off_atom=st.booleans(),
+       scale=st.sampled_from([1.0, 1.01, 1.5, 4.0, 1e3]))
+def test_primal_coupling_is_feasible_and_optimal(points, data, eps, off_atom, scale):
+    # off the atoms the budget is a multiple of the cheapest coupling's cost,
+    # scale 1 being exactly that cost, where the coupling has no slack at all
+    p0, f = (draw_off_atom_instance if off_atom else draw_instance)(points, data)
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)
+    if off_atom:
+        eps = scale * float(p0.weights @ cmat.min(axis=1))
+    rows, cols, mass = duals._greedy_coupling(p0, f, eps)
+    assert np.all(mass > 0)
+    # checked in rational arithmetic; the float weights and the float budget
+    # left carry rounding of about 1e-16 relative
+    sent = [Fraction(0)] * len(p0.support)
+    for r, m in zip(rows, mass):
+        sent[r] += Fraction(m)
+    for r, w in enumerate(p0.weights):
+        assert abs(sent[r] - Fraction(w)) <= Fraction(1e-15) * Fraction(w)
+    spent = sum(Fraction(m) * Fraction(cmat[r, c]) for r, c, m in zip(rows, cols, mass))
+    assert spent <= Fraction(eps) * (1 + Fraction(1e-12))
+    value = primal_oracle(p0, f, eps)
+    assert abs(float(sum(Fraction(m) * Fraction(f.values[c]) for c, m in zip(cols, mass)))
+               - value) <= 1e-12
+    # the float reach may fall an ulp short of the exact one, where the exact
+    # LP is infeasible: compare there with the exact reach's optimum
+    reach = sum(Fraction(w) * Fraction(c) for w, c in zip(p0.weights, cmat.min(axis=1)))
+    exact = rational_primal(p0, f, max(Fraction(eps), reach))
+    assert value == pytest.approx(float(exact), abs=1e-9)
 
 
 def grid_minimum(objective, hi: float) -> float:
