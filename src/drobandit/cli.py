@@ -41,6 +41,7 @@ from .data import (
     save_dataset,
     synth_generate,
     synthetic_config_from_json,
+    write_columns,
 )
 from .distributions import (
     DiscreteDistribution,
@@ -237,12 +238,9 @@ def cmd_ope(args, argv) -> int:
         )
         outputs.append(args.out)
     if args.table_out:
-        rows = [
-            (x, a, table.m_hat[x, a])
-            for x in range(table.n_contexts)
-            for a in range(table.n_actions)
-        ]
-        _write_csv(args.table_out, ["context_index", "action_index", "m_hat"], rows)
+        x, a = np.indices(table.m_hat.shape).reshape(2, -1).tolist()
+        write_columns(args.table_out, ["context_index", "action_index", "m_hat"],
+                      [map(str, x), map(str, a), map(repr, table.m_hat.ravel().tolist())])
         outputs.append(args.table_out)
     coverage = dataset.diagnostics
     diagnostics = {

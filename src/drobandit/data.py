@@ -8,19 +8,25 @@ whole known support; an "observed only" mode exists for the sub-support
 approximation used when the cross product is unmanageable. Binning comes
 only from the schema's "binning" key.
 
-Every CSV input is read once, by :class:`CsvColumns`. It rejects a missing
+Every CSV input is read once, by :class:`CsvColumns`, as bytes decoded as
+UTF-8. A numpy scan of the bytes finds the records and fields; a file
+holding a quote character, a NUL or a lone carriage return goes through
+``csv.reader`` instead. It rejects bytes that are not UTF-8, a missing
 header, a missing required column, a record with more or fewer fields than
-the header, a file without records, and a value that does not parse (a
-non-finite number, an undeclared categorical value or action label, an
-outcome that is not a yes/no token) with a DataFormatError, exit code 2 in
-the CLI, that names the first bad line.
+the header, a field longer than ``csv.field_size_limit()``, a file without
+records, and a value that does not parse (a non-finite number, an
+undeclared categorical value or action label, an outcome that is not a
+yes/no token) with a DataFormatError, exit code 2 in the CLI, that names the
+first bad line.
 """
 from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,43 +164,47 @@ def _event_cost(weight: float):
 
 # -- CSV ingestion ---------------------------------------------------------------
 
+_PAD = 8  # zero bytes after the file's, so that every 8-byte read stays inside the buffer
+_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)  # the low n bytes
+
+
 class CsvColumns:
     """A CSV file read once, column by column.
 
-    Reading checks that the header holds every one of `columns`, that every
-    record has as many fields as the header and that there is a record; blank
-    lines are skipped. Per kept column (`columns`, or all of them) it holds
-    each distinct raw string once, in order of first appearance, and each
-    record's code into those strings.
+    The file is read as bytes and decoded as UTF-8; bytes that are not UTF-8
+    raise :class:`UnparsableRow` naming their line. Reading checks that the
+    header holds every one of `columns`, that every record has as many fields
+    as the header and that there is a record; blank lines are skipped. Per
+    kept column (`columns`, or all of them) it holds each distinct raw string
+    once, in order of first appearance, and each record's code into those
+    strings.
+
+    Two tokenisers give the same result. The byte scan (:func:`_scan`) finds
+    line breaks and commas with numpy and codes each kept column with one
+    :func:`numpy.unique` over fixed-width keys of its fields' bytes. It leaves
+    to ``csv.reader``, one record at a time (:func:`_read_rows`), any file
+    holding a quote character, a NUL or a lone carriage return (quoting is
+    the syntax the scan does not parse), a line longer than
+    ``csv.field_size_limit()`` (whose check then refuses a field over the
+    limit), and a kept column so uneven in width that its keys would take
+    more than four times the file's size plus 1 MB.
     """
 
     def __init__(self, path, columns=None):
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            self.header = next(reader, None)
-            if self.header is None:
-                raise EmptyDataset(f"{path} has no header row")
-            columns = list(dict.fromkeys(columns or self.header))
-            missing = set(columns) - set(self.header)
-            if missing:
-                raise SchemaMismatch(f"columns missing from {path}: {sorted(missing)}")
-            positions = [self.header.index(column) for column in columns]
-            tables = [{} for _ in columns]
-            codes = [[] for _ in columns]
-            self._lines = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(self.header):
-                    raise UnparsableRow(reader.line_num,
-                                        f"{len(row)} fields, the header has {len(self.header)}")
-                self._lines.append(reader.line_num)
-                for position, table, code in zip(positions, tables, codes):
-                    code.append(table.setdefault(row[position], len(table)))
-        if not self._lines:
+        with open(path, "rb") as handle:
+            buffer = bytearray(os.fstat(handle.fileno()).st_size + _PAD)
+            size = handle.readinto(memoryview(buffer)[:-_PAD])
+        if not buffer.isascii():
+            try:
+                str(memoryview(buffer)[:size], "utf-8")
+            except UnicodeDecodeError as exc:
+                head = buffer[: exc.start]
+                line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+                raise UnparsableRow(line, f"not UTF-8 text: {exc.reason}") from None
+        self.header, self._lines, self._columns = (_scan(buffer, size, path, columns)
+                                                   or _read_rows(buffer, size, path, columns))
+        if not len(self._lines):
             raise EmptyDataset(f"{path} contains a header but no records")
-        self._columns = {column: (list(table), np.array(code, dtype=np.int64))
-                         for column, table, code in zip(columns, tables, codes)}
 
     def parse(self, parsers) -> list:
         """Apply each (column, parse) pair once to every distinct raw string.
@@ -212,7 +222,7 @@ class CsvColumns:
                 try:
                     values.append(parse(raw))
                 except (ValueError, OverflowError) as exc:
-                    line = self._lines[int(np.argmax(codes == code))]
+                    line = int(self._lines[int(np.argmax(codes == code))])
                     errors.append((line, f"column {column!r}: {exc}"))
             parsed.append((values, codes))
         if errors:
@@ -222,6 +232,124 @@ class CsvColumns:
     def expand(self, parsers) -> list:
         """:meth:`parse`, with each column's values expanded to one per record."""
         return [np.asarray(values)[codes] for values, codes in self.parse(parsers)]
+
+
+def _kept_columns(header, columns, path):
+    """The distinct requested columns (all of `header`'s when None) and their positions."""
+    if header is None:
+        raise EmptyDataset(f"{path} has no header row")
+    columns = list(dict.fromkeys(columns or header))
+    missing = set(columns) - set(header)
+    if missing:
+        raise SchemaMismatch(f"columns missing from {path}: {sorted(missing)}")
+    return columns, [header.index(column) for column in columns]
+
+
+def _read_rows(buffer, size, path, columns):
+    """(header, record line numbers, {column: (levels, codes)}) from csv.reader."""
+    reader = csv.reader(io.StringIO(buffer[:size].decode(), newline=""))
+    try:
+        header = next(reader, None)
+        columns, positions = _kept_columns(header, columns, path)
+        tables = [{} for _ in columns]
+        codes = [[] for _ in columns]
+        lines = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise UnparsableRow(reader.line_num,
+                                    f"{len(row)} fields, the header has {len(header)}")
+            lines.append(reader.line_num)
+            for position, table, code in zip(positions, tables, codes):
+                code.append(table.setdefault(row[position], len(table)))
+    except csv.Error as exc:  # a field over csv.field_size_limit(), a NUL before 3.11
+        raise UnparsableRow(reader.line_num, str(exc)) from None
+    return header, np.array(lines, dtype=np.int64), {
+        column: (list(table), np.array(code, dtype=np.int64))
+        for column, table, code in zip(columns, tables, codes)}
+
+
+def _scan(buffer, size, path, columns):
+    """:func:`_read_rows`' result from numpy scans of the bytes, or None for a
+    file the scan leaves to csv.reader (see :class:`CsvColumns`).
+
+    `buffer` holds the file's `size` bytes and `_PAD` zeros. A line ends at
+    a newline (a carriage return before it is dropped) or at the end of the
+    file; a line is blank when nothing comes before its end. Offsets are
+    int32 below 2 GB.
+    """
+    if (buffer.find(b'"', 0, size) >= 0 or buffer.find(b"\0", 0, size) >= 0
+            or buffer.count(b"\r", 0, size) != buffer.count(b"\r\n", 0, size)):
+        return None
+    data = np.frombuffer(buffer, dtype=np.uint8)
+    offset = np.int32 if len(buffer) < 2**31 else np.int64
+    ends = np.flatnonzero(data[:size] == ord("\n")).astype(offset)
+    if size and data[size - 1] != ord("\n"):
+        ends = np.append(ends, offset(size))
+    if not len(ends):
+        _kept_columns(None, columns, path)
+    starts = np.concatenate([np.zeros(1, offset), ends[:-1] + 1])
+    ends -= data[ends - 1] == ord("\r")  # at the first line's start, ends - 1 reads a pad byte
+    if int((ends - starts).max()) > csv.field_size_limit():
+        return None
+    commas = np.flatnonzero(data[:size] == ord(",")).astype(offset)
+    # a line's commas: those ahead of its end less those ahead of the last's
+    fields = np.diff(np.searchsorted(commas, ends), prepend=0).astype(offset) + 1
+    fields[starts == ends] = 0
+    header = buffer[: ends[0]].decode().split(",") if fields[0] else []
+    columns, positions = _kept_columns(header, columns, path)
+    width = len(header)
+    bad = np.flatnonzero((fields[1:] != width) & (fields[1:] > 0)) + 1
+    if len(bad):
+        raise UnparsableRow(int(bad[0]) + 1, f"{fields[bad[0]]} fields, the header has {width}")
+    records = np.flatnonzero(fields[1:]) + 1
+    if not len(records):
+        return header, records, {}
+    # records hold every comma after the header's width - 1, width - 1 each
+    grid = commas[width - 1 :].reshape(len(records), width - 1)
+    starts, ends = starts[records], ends[records]
+    window = np.ndarray((len(buffer) - 7,), dtype="<u8", buffer=buffer, strides=(1,))
+    coded = {}
+    for column, p in zip(columns, positions):  # one column's bounds at a time
+        start = starts if p == 0 else grid[:, p - 1] + 1
+        end = ends if p == width - 1 else grid[:, p]
+        if int((end - start).max()) * len(records) > 4 * size + 2**20:
+            return None
+        coded[column] = _code_fields(buffer, window, start, end)
+    return header, records + 1, coded
+
+
+def _code_fields(buffer, window, start, end):
+    """The distinct fields buffer[start:end] in order of first appearance,
+    decoded, and each field's code into them.
+
+    A field's key is its bytes in 8-byte words, each read through `window`
+    (the buffer as 8-byte integers at every byte offset) and masked to the
+    field's length: one integer per field when none is longer than 8 bytes
+    (16 bits wide when none is longer than 2: np.unique radix-sorts those),
+    a fixed-width byte string otherwise. No field holds a NUL, so equal keys
+    are equal fields. np.unique's first indices rank the keys by first
+    appearance.
+    """
+    length = end - start
+    longest = int(length.max())
+    words = max(1, -(-longest // 8))
+    keys = np.empty((len(start), words), dtype="<u8")
+    for k in range(words):
+        np.bitwise_and(window[start + np.minimum(length, 8 * k)],
+                       _MASKS[np.clip(length - 8 * k, 0, 8)], out=keys[:, k])
+    if words > 1:
+        keys = keys.view(f"S{8 * words}")[:, 0]
+    else:
+        keys = keys[:, 0].astype(np.uint16) if longest <= 2 else keys[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    levels = [buffer[s:e].decode() for s, e in zip(start[first[order]].tolist(),
+                                                    end[first[order]].tolist())]
+    return levels, rank[inverse.ravel()]
 
 
 def load_dataset(path, schema: dict, support: str = "full") -> BanditDataset:
@@ -317,14 +445,20 @@ def load_dataset(path, schema: dict, support: str = "full") -> BanditDataset:
 _CANONICAL_COLUMNS = ("context_index", "action_index", "xi_index", "cost")
 
 
-def save_dataset(dataset: BanditDataset, path) -> None:
-    """Write the canonical CSV plus a JSON sidecar describing the supports."""
+def write_columns(path, header, columns) -> None:
+    """Write a CSV of `header` and one record per position of `columns`,
+    equal-length iterables of formatted strings, in one writerows call."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(_CANONICAL_COLUMNS)
-        for x, a, k, c in zip(dataset.context_idx, dataset.action_idx,
-                              dataset.xi_idx, dataset.costs):
-            writer.writerow([int(x), int(a), int(k), repr(float(c))])
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+
+
+def save_dataset(dataset: BanditDataset, path) -> None:
+    """Write the canonical CSV plus a JSON sidecar describing the supports."""
+    write_columns(path, _CANONICAL_COLUMNS,
+                  [map(str, dataset.context_idx.tolist()), map(str, dataset.action_idx.tolist()),
+                   map(str, dataset.xi_idx.tolist()), map(repr, dataset.costs.tolist())])
     sidecar = {
         "contexts": dataset.contexts.points.tolist(),
         "actions": list(dataset.actions),

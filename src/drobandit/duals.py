@@ -257,20 +257,34 @@ def _exact_stage(z, axis_cost, carried, spare):
     return z[at], (cost,)
 
 
-def _smoothed_stage(z, axis_cost, carried, spare):
-    # log-sum-exp over the last axis. exp() of arguments below -708 gives
-    # subnormals or zeros, several times slower to produce and to multiply;
-    # the floor moves each sum (at least 1, from its top term) by under
-    # n * 1e-304. The moments of the cost under the softmax: a lone stage's
-    # from one product with `spare` = (c, c^2) per atom; otherwise carried
-    # holds the mean and variance of the cost of the axes behind, combined
-    # with this axis' term by the laws of total expectation and variance
+def _max_stage(z, *_):
+    return z.max(axis=-1), None
+
+
+def _lse_stage(z, *_):
+    return _log_sum_exp(z)[0], None
+
+
+def _log_sum_exp(z):
+    # over the last axis, leaving z = exp(z - max); also returns the sum of
+    # those. exp() of arguments below -708 gives subnormals or zeros, several
+    # times slower to produce and to multiply; the floor moves each sum (at
+    # least 1, from its top term) by under n * 1e-304
     top = z.max(axis=-1)
     z -= top[..., None]
     np.maximum(z, -700.0, out=z)
     np.exp(z, out=z)
     total = z.sum(axis=-1)
-    value = top + np.log(total)
+    return top + np.log(total), total
+
+
+def _smoothed_stage(z, axis_cost, carried, spare):
+    # log-sum-exp over the last axis and the moments of the cost under the
+    # softmax: a lone stage's from one product with `spare` = (c, c^2) per
+    # atom; otherwise carried holds the mean and variance of the cost of the
+    # axes behind, combined with this axis' term by the laws of total
+    # expectation and variance
+    value, total = _log_sum_exp(z)
     if spare.ndim == 3:
         mean, square = np.matmul(spare, z.transpose(1, 2, 0)).transpose(1, 2, 0) / total
         return value, (mean, np.maximum(square - mean * mean, 0.0))
@@ -284,7 +298,7 @@ def _smoothed_stage(z, axis_cost, carried, spare):
     return value, (mean, np.einsum("...j,...j->...", z, t) / total)
 
 
-def _grid_pass(lam, values, stages, rest, buffers, eta=None):
+def _grid_pass(lam, values, stages, rest, buffers, eta=None, moments=True):
     """Inner max (`eta` None) or log-sum-exp of values - lam * c, stage by stage.
 
     `values` (P, N) holds each problem's candidate values (in grid order on a
@@ -296,9 +310,13 @@ def _grid_pass(lam, values, stages, rest, buffers, eta=None):
     it over zeta_k; the first stage is formed at the atoms only. Returns, per
     problem and atom, the exact inner value and (cost at the argmax,), or the
     log of the sum (not the mean) of the exponentials and (mean, variance) of
-    the cost under the softmax, which take `buffers[1]`.
+    the cost under the softmax, which take `buffers[1]`. Without `moments`,
+    the value alone and None.
     """
-    stage = _exact_stage if eta is None else _smoothed_stage
+    if moments:
+        stage = _exact_stage if eta is None else _smoothed_stage
+    else:
+        stage = _max_stage if eta is None else _lse_stage
     v, stats, after = values, None, 1
     for k in reversed(range(len(stages))):
         n = stages[k].shape[-1]
@@ -317,7 +335,7 @@ def _grid_pass(lam, values, stages, rest, buffers, eta=None):
     return v, stats
 
 
-def _grid_objective(weights, rows, values, cost, epsilon, eta, problems):
+def _grid_objective(weights, rows, values, cost, epsilon, eta, problems, moments=True):
     """The `fn` of :func:`convex_minimize` for the transport duals of one block:
     `weights` (P, atoms `rows`), `values` (P, candidates) and `cost` the atoms
     x candidates matrix or a :class:`GridCost`, one stage per axis. Each
@@ -325,7 +343,9 @@ def _grid_objective(weights, rows, values, cost, epsilon, eta, problems):
     eps - sum_i w_i c(x_i, zeta_i*) at the stages' argmax, any subgradient
     where the argmax ties, and the curvature 0 (the objective is piecewise
     linear). Smoothed: the slope is eps - sum_i w_i E_softmax[c] and the
-    curvature eta * sum_i w_i Var_softmax[c].
+    curvature eta * sum_i w_i Var_softmax[c]. Without `moments`, the
+    objective returns (value,): no cost at the argmax, no softmax moments,
+    no buffer for them.
     """
     grid = isinstance(cost, GridCost)
     stages = cost.axis_costs() if grid else [cost]
@@ -336,25 +356,29 @@ def _grid_objective(weights, rows, values, cost, epsilon, eta, problems):
     spare = None
     if eta is not None:
         values, log_n = eta * values, math.log(cost.shape[1])
-        if not grid:  # c and c^2 side by side, the stage's c a view
+        if not grid and moments:  # c and c^2 side by side, the stage's c a view
             spare = np.empty((len(rows), 2, cost.shape[1]))
             spare[:, 0] = stages[0]
             stages[0] = spare[:, 0]
             np.square(stages[0], out=spare[:, 1])
     buffer = np.empty(problems * (cost.stage_cells if grid else stages[0].size))
-    buffers = (buffer, np.empty_like(buffer) if eta is not None and grid else spare)
+    buffers = (buffer, np.empty_like(buffer) if eta is not None and grid and moments else spare)
     rest = rest if after > 1 else slice(None)
 
     def objective(index, lam):
         w = weights[index]
         if eta is None:
-            inner, (at_star,) = _grid_pass(lam, values[index], stages, rest, buffers)
-            return (epsilon * lam + np.einsum("ki,ki->k", w, inner),
-                    epsilon - np.einsum("ki,ki->k", w, at_star), np.zeros(len(index)))
-        inner, (mean, spread) = _grid_pass(eta * lam, values[index], stages, rest, buffers, eta)
-        return (epsilon * lam + np.einsum("ki,ki->k", w, inner - log_n) / eta,
-                epsilon - np.einsum("ki,ki->k", w, mean),
-                eta * np.einsum("ki,ki->k", w, spread))
+            inner, stats = _grid_pass(lam, values[index], stages, rest, buffers, None, moments)
+            value = epsilon * lam + np.einsum("ki,ki->k", w, inner)
+            if stats is None:
+                return (value,)
+            return value, epsilon - np.einsum("ki,ki->k", w, stats[0]), np.zeros(len(index))
+        inner, stats = _grid_pass(eta * lam, values[index], stages, rest, buffers, eta, moments)
+        value = epsilon * lam + np.einsum("ki,ki->k", w, inner - log_n) / eta
+        if stats is None:
+            return (value,)
+        return (value, epsilon - np.einsum("ki,ki->k", w, stats[0]),
+                eta * np.einsum("ki,ki->k", w, stats[1]))
 
     return objective
 
@@ -370,7 +394,7 @@ def transport_objective(lam, weights, values, cost, epsilon, eta=None) -> float:
     weights = np.asarray(weights, dtype=np.float64)
     rows = np.flatnonzero(weights)
     fn = _grid_objective(weights[None, rows], rows, np.asarray(values, dtype=np.float64)[None],
-                         cost, epsilon, eta, 1)
+                         cost, epsilon, eta, 1, moments=False)
     return float(fn(np.zeros(1, dtype=np.int64), np.array([float(lam)]))[0][0])
 
 

@@ -50,9 +50,9 @@ class GroundCost(enum.Enum):
         size guard: for callers that keep their blocks small, one row at a time
         in the SGD loop. Entries equal those of :meth:`pairwise` bit for bit."""
         if self is GroundCost.SQUARED_EUCLIDEAN:
-            out = np.zeros((len(pa), len(pb)))
+            out, diff = np.zeros((len(pa), len(pb))), np.empty((len(pa), len(pb)))
             for k in range(pa.shape[1]):  # per axis: no (len(a), len(b), dim) array
-                diff = np.subtract.outer(pa[:, k], pb[:, k])
+                np.subtract.outer(pa[:, k], pb[:, k], out=diff)
                 out += np.multiply(diff, diff, out=diff)
             return out
         raise NotImplementedError(self)

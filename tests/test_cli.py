@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from drobandit.cli import main
+from drobandit.cli import _write_csv, main
+from drobandit.data import load_canonical, save_dataset
 from drobandit.distributions import SupportSet, kl_divergence, make_distribution
 
 SYNTH_SPEC = {
@@ -166,6 +167,22 @@ def test_malformed_input_exits_2_naming_its_line(tmp_path, capsys, command, rows
     assert f"error: line {line}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, line", [
+    (b"x,arm,cost\n1,caf\xe9,0.5\n", 2),
+    (b"x,arm,cost\n1,drug,0.5\n2," + b"d" * 200_000 + b",0.5\n", 3),
+    # csv.reader before 3.11 refuses the NUL; from 3.11 the cost does not parse
+    (b"x,arm,cost\n1,drug,0.5\n2,drug,0\x005\n", 3),
+], ids=["not-utf8", "field-over-size-limit", "nul"])
+def test_reader_faults_exit_2_naming_their_line(tmp_path, capsys, text, line):
+    data, schema = tmp_path / "raw.csv", tmp_path / "schema.json"
+    data.write_bytes(text)
+    schema.write_text(json.dumps({"context_columns": ["x"], "action_column": "arm",
+                                  "cost_column": "cost"}))
+    assert main(["ope", "--data", str(data), "--config", str(schema),
+                 "--impute-missing-ymax"]) == 2
+    assert f"error: line {line}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad_row", ["-1,0,0,0.0", "0,-1,0,0.0"], ids=["context", "action"])
 def test_negative_canonical_index_exits_3(tmp_path, capsys, bad_row):
     rows = "0,0,0,0.0\n0,1,1,1.0\n1,0,0,0.0\n1,1,1,1.0\n" + bad_row
@@ -253,6 +270,28 @@ def test_ope_table_out_covers_grid(tmp_path, canonical_data):
     rows = read_rows(table)
     assert len(rows) == 6  # 3 contexts x 2 actions
     assert all(0.0 <= float(r["m_hat"]) <= 1.0 for r in rows)
+
+
+def test_column_writers_match_the_row_writers(tmp_path, canonical_data):
+    # --table-out against _write_csv over the per-cell rows it used to take
+    table = tmp_path / "table.csv"
+    assert main(["ope", "--data", str(canonical_data), "--epsilon-c", "0.05",
+                 "--table-out", str(table)]) == 0
+    rows = [(int(r["context_index"]), int(r["action_index"]), np.float64(r["m_hat"]))
+            for r in read_rows(table)]
+    expected = tmp_path / "expected.csv"
+    _write_csv(expected, ["context_index", "action_index", "m_hat"], rows)
+    assert table.read_bytes() == expected.read_bytes()
+    # save_dataset against its former per-record loop
+    dataset = load_canonical(canonical_data)
+    save_dataset(dataset, tmp_path / "canon.csv")
+    with open(expected, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(("context_index", "action_index", "xi_index", "cost"))
+        for x, a, k, c in zip(dataset.context_idx, dataset.action_idx,
+                              dataset.xi_idx, dataset.costs):
+            writer.writerow([int(x), int(a), int(k), repr(float(c))])
+    assert (tmp_path / "canon.csv").read_bytes() == expected.read_bytes()
 
 
 # -- opl -----------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import csv
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drobandit import (
     DiscreteDistribution,
@@ -17,6 +20,7 @@ from drobandit import (
 )
 from drobandit.data import (
     ColumnBinning,
+    CsvColumns,
     ContextExtension,
     ShiftSpec,
     SyntheticConfig,
@@ -24,7 +28,7 @@ from drobandit.data import (
     canonical_rate_config,
     synthetic_config_from_json,
 )
-from drobandit.errors import InvalidShift, SchemaMismatch, UnparsableRow
+from drobandit.errors import EmptyDataset, InvalidShift, SchemaMismatch, UnparsableRow
 
 TOY_SCHEMA = {
     "context_columns": ["risk"],
@@ -293,6 +297,104 @@ def test_earliest_bad_line_across_columns(tmp_path):
                      "0,drug,N,maybe\n1,placebo,N,N\ninf,drug,N,N")
     with pytest.raises(UnparsableRow, match="^line 3:"):
         load_dataset(data, TOY_SCHEMA)
+
+
+# -- the byte scan against csv.reader --------------------------------------------
+
+def reference_columns(path):
+    """csv.reader, one record at a time: the header, each record's line and,
+    per distinct header name, its levels in order of first appearance and
+    each record's code; the errors CsvColumns raises, at the same line."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyDataset("no header")
+        lines, rows = [], []
+        for row in reader:
+            if row and len(row) != len(header):
+                raise UnparsableRow(reader.line_num, "field count")
+            if row:
+                lines.append(reader.line_num)
+                rows.append(row)
+    if not rows:
+        raise EmptyDataset("no records")
+    columns = {}
+    for column in dict.fromkeys(header):
+        table = {}
+        codes = [table.setdefault(row[header.index(column)], len(table)) for row in rows]
+        columns[column] = (list(table), codes)
+    return header, lines, columns
+
+
+def assert_reads_like_csv_reader(path):
+    try:
+        header, lines, columns = reference_columns(path)
+    except (EmptyDataset, UnparsableRow) as exc:
+        with pytest.raises(type(exc)) as raised:
+            CsvColumns(path)
+        assert getattr(raised.value, "line_number", None) == getattr(exc, "line_number", None)
+        return
+    table = CsvColumns(path)
+    assert table.header == header
+    assert table._lines.tolist() == lines
+    parsed = table.parse([(column, str) for column in columns])
+    assert [(levels, codes.tolist()) for levels, codes in parsed] == list(columns.values())
+
+
+CHARACTERS = "0123456789abyzABYZ é"
+# fields of 0-20 bytes; the heads give long fields that share their first 8 bytes
+FIELDS = st.builds(lambda head, tail: (head + tail).encode()[:20].decode(errors="ignore"),
+                   st.sampled_from(["", "", "abcdefg", "0.10000000000000"]),
+                   st.text(CHARACTERS, max_size=20))
+
+
+@st.composite
+def csv_logs(draw):
+    """Header and records of 1-4 fields of 0-20 bytes; some lines free text
+    with commas (other field counts) or blank; \n or \r\n endings."""
+    width = draw(st.integers(1, 4))
+    lines = [",".join(draw(st.lists(FIELDS, min_size=width, max_size=width)))]
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 9)) < 8:
+            lines.append(",".join(draw(st.lists(FIELDS, min_size=width, max_size=width))))
+        else:
+            lines.append(draw(st.sampled_from(["", draw(st.text(CHARACTERS + ",", max_size=30))])))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                            max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, endings))
+    return text if draw(st.booleans()) else text[: -len(endings[-1])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_logs())
+def test_byte_scan_reads_like_csv_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("scan") / "log.csv"
+    path.write_bytes(text.encode())
+    # no quote, NUL or lone \r: the byte scan alone reads the file
+    with mock.patch("drobandit.data._read_rows", side_effect=AssertionError("csv.reader used")):
+        assert_reads_like_csv_reader(path)
+    with mock.patch("drobandit.data._scan", return_value=None):
+        assert_reads_like_csv_reader(path)
+
+
+def test_plain_logs_take_the_byte_scan(tmp_path):
+    path = write_mixed_log(tmp_path / "mixed.csv", np.random.default_rng(5))
+    schema = MIXED_SCHEMAS[0]
+    with mock.patch("drobandit.data._read_rows", side_effect=AssertionError("csv.reader used")):
+        ds = load_dataset(path, schema, support="observed")
+    assert ds.context_idx.tolist() == reference_load(path, schema, "observed")["context_idx"]
+
+
+def test_quoted_fields_keep_csv_reader(tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_bytes(b'x,arm,note\r\n1,"a,b",plain\r\n2,"two\nlines",\r\n\r\n3,"a,b",""\r\n')
+    table = CsvColumns(path)
+    assert table.header == ["x", "arm", "note"]
+    assert table._lines.tolist() == [2, 4, 6]  # a record's line is its last
+    (arms, codes), = table.parse([("arm", str)])
+    assert arms == ["a,b", "two\nlines"] and codes.tolist() == [0, 1, 0]
+    assert_reads_like_csv_reader(path)
 
 
 def test_round_trip_canonical(tmp_path):

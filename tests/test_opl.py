@@ -24,7 +24,7 @@ from drobandit import (
     true_robust_table,
     uniform_distribution,
 )
-from drobandit import opl
+from drobandit import duals, opl
 from drobandit.data import canonical_rate_config, sample_dataset
 from drobandit.errors import DimensionTooLarge, InvalidConfig, UnknownContext
 from drobandit.ope import solve_shared_support
@@ -375,6 +375,30 @@ def test_bsgd_runs_above_the_pairwise_limit_in_bounded_memory():
         assert math.isfinite(value)
         full_matrix = n * n * 8  # 288 MB
         assert peak <= full_matrix / 4
+
+
+def test_smoothed_objective_computes_no_moments(monkeypatch):
+    # 1,083 contexts off any grid: row blocks of the dense cost matrix. The
+    # value needs neither the softmax moments nor the (rows, 2, N) array
+    # that holds c and c^2 for them
+    n = 1083
+    rng = np.random.default_rng(43)
+    support = SupportSet(rng.random((n, 3)))
+    context_dist = make_distribution(support, rng.dirichlet(np.ones(n)))
+    table = RobustCostTable(rng.random((n, 2)), method="exact", epsilon_c=0.0)
+    params = PolicyParams(np.array([0.3]), np.zeros(n, dtype=np.int64), 2, CLAMP)
+    tracemalloc.start()
+    try:
+        value = smoothed_learning_objective(params, 0.7, table, context_dist, 10.0, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24.2e6  # 32 MB with the moments
+
+    kernel = duals._grid_objective
+    monkeypatch.setattr(duals, "_grid_objective",
+                        lambda *args, moments: kernel(*args, moments=True))
+    assert smoothed_learning_objective(params, 0.7, table, context_dist, 10.0, 0.5) == value
 
 
 def test_kl_methods_run_above_the_pairwise_limit_without_a_cost_matrix():
