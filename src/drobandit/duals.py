@@ -18,8 +18,8 @@ solves the transport-budget LP by a greedy pass over per-atom concave hulls.
 
 One kernel solves every dual: :func:`convex_minimize` runs a batch of
 problems in lockstep. Each evaluation returns the objective's slope from
-the argmax or softmax it already computes, and its curvature where it has
-one. The exact dual, piecewise linear, takes cutting-plane steps (Kelley,
+the maximisers or softmax it already computes, and its curvature where it
+has one. The exact dual, piecewise linear, takes cutting-plane steps (Kelley,
 1960); the smoothed and KL duals take safeguarded Newton steps. Every value
 comes with a certified gap: the minimum lies within `gap` below it. A single
 solve is a batch of one.
@@ -138,13 +138,13 @@ def convex_minimize(fn, hi, tol, max_iter: int = 400):
     best_f, gap = np.array(best_f, dtype=np.float64), np.zeros(len(hi))
     evals = np.ones(len(hi), dtype=np.int64)
     idx = np.flatnonzero((g0 < 0) & (hi > 0))  # the others stop at 0
-    a, fa, ga, ha = best_x[idx], best_f[idx], g0[idx], h0[idx]
-    b = hi[idx]
-    fb, gb, hb = fn(idx, b)
+    # each bracket end is one (4, P) array: point, value, slope, curvature
+    lo = np.array((best_x, best_f, g0, h0))[:, idx]
+    up = np.array((hi[idx], *fn(idx, hi[idx])))
     count = 2  # every open problem has made the same number of evaluations
     while idx.size:
-        left = fa <= fb  # the best iterate is always an end of the bracket
-        x, f, g, h = (np.where(left, u, v) for u, v in ((a, b), (fa, fb), (ga, gb), (ha, hb)))
+        (a, fa, ga, _), (b, fb, gb, _) = lo, up
+        x, f, g, h = np.where(fa <= fb, lo, up)  # the best iterate is always an end
         width = b - a
         cross = a + np.clip((fa - fb + gb * width) / (gb - ga), 0.0, width)
         cut = np.maximum(np.minimum(f - (fa + ga * (cross - a)), np.abs(g) * width), 0.0)
@@ -160,17 +160,15 @@ def convex_minimize(fn, hi, tol, max_iter: int = 400):
             best_f[stop] = np.where(at_b[done], fb[done], f[done])
             gap[stop] = np.where(at_b[done], 0.0, cut[done])
             keep = ~done
-            idx, step, a, fa, ga, ha, b, fb, gb, hb = (
-                v[keep] for v in (idx, step, a, fa, ga, ha, b, fb, gb, hb))
+            idx, step, lo, up = idx[keep], step[keep], lo[:, keep], up[:, keep]
             if not idx.size:
                 break
         if count >= max_iter:
             raise NumericalError(f"convex minimization open after {count} evaluations")
-        fx, gx, hx = fn(idx, step)
+        new = np.array((step, *fn(idx, step)))
         count += 1
-        right, new = gx >= 0, (step, fx, gx, hx)  # the new point replaces b or a
-        a, fa, ga, ha = (np.where(right, u, v) for u, v in zip((a, fa, ga, ha), new))
-        b, fb, gb, hb = (np.where(right, v, u) for u, v in zip((b, fb, gb, hb), new))
+        right = new[2] >= 0  # the new point replaces b or a
+        lo, up = np.where(right, lo, new), np.where(right, new, up)
     return best_x, best_f, gap, evals
 
 
@@ -234,31 +232,50 @@ def _plugin_batch(expected, f_max: np.ndarray) -> DualBatch:
 # Functions, 2012), and the log-sum-exp nests the same way (Solomon et al.,
 # Convolutional Wasserstein Distances, 2015). An atoms x candidates matrix is
 # the one-stage case: its single axis cost is the matrix.
+#
+# Every stage reduces over the leading axis of its array z, the candidate
+# levels zeta_k, where numpy's max and sum run as contiguous passes; over a
+# short last axis they run many times slower. On a grid axis z is (n_k, n_k,
+# P, R), candidate level j by atom level i by problem by the R cells of the
+# other axes: the stage's input, transposed once to (n_k, P, R), minus a
+# small (j, i, P) table of lam_p * c(l_i, l_j). The first axis is reduced at
+# the atoms only, z (n_0, P, atoms). Where maximisers tie, the exact stage
+# carries the least cost among them, so the slope is the right derivative.
 
-def _stage_source(a, shape, after, rest):
-    """Stage output `a` as the source of a stage of `shape`, its last axis the
-    axis being reduced: the cells of the axes ahead of it in grid order hold
-    candidate levels, the `after` cells of the axes behind it atom levels.
-    Shape (P, before, 1, after, n), or, on the first axis, (P, atoms, n) at
-    the atoms' behind-cells `rest` (a slice when no axis is behind: then a
-    (P, 1, n) view)."""
-    if rest is None:
-        return a.reshape(shape[:3] + (after,)).transpose(0, 1, 3, 2)[:, :, None]
-    return a.reshape(len(a), shape[-1], after)[:, :, rest].transpose(0, 2, 1)
+def _lead(a, n, before):
+    """Stage output `a` (m, P, before * n * tail), m the levels of the axis
+    reduced before (1 for the values), as a (n, P, before * m * tail) copy
+    led by the n levels of the axis to reduce next."""
+    m, p, cells = a.shape
+    tail = cells // (before * n)
+    return a.reshape(m, p, before, n, tail).transpose(3, 1, 2, 0, 4).reshape(n, p, cells // n * m)
 
 
-def _exact_stage(z, axis_cost, carried, spare):
-    # max over the last axis; carried: cost of the axes behind at the argmax
-    star = z.argmax(axis=-1)
-    at = (*np.indices(star.shape, sparse=True), star)
-    cost = np.broadcast_to(axis_cost, z.shape)[at]
-    if carried is not None:
-        cost += np.broadcast_to(carried[0], z.shape)[at]
-    return z[at], (cost,)
+def _stage_costs(out, axis_cost, carried, rest):
+    # out = the axis' cost plus the cost carried from the axes behind, led by
+    # the candidate levels: (j, i, P, R) on a grid axis (`rest` None), gathered
+    # at the atoms' behind-cells `rest` at the atoms
+    if carried is None:
+        np.copyto(out, axis_cost)
+    elif rest is None:
+        np.add(axis_cost, carried[:, None], out=out)
+    else:
+        np.take(carried, rest, axis=2, out=out, mode="clip")
+        out += axis_cost
+
+
+def _exact_stage(z, axis_cost, carried, rest, spare):
+    # max over the leading axis, and the least cost (this axis' plus the one
+    # carried) among its maximisers, which are marked before z holds the costs
+    top = z.max(axis=0)
+    off = z != top
+    _stage_costs(z, axis_cost, None if carried is None else carried[0], rest)
+    np.putmask(z, off, np.inf)
+    return top, (z.min(axis=0),)
 
 
 def _max_stage(z, *_):
-    return z.max(axis=-1), None
+    return z.max(axis=0), None
 
 
 def _lse_stage(z, *_):
@@ -266,36 +283,36 @@ def _lse_stage(z, *_):
 
 
 def _log_sum_exp(z):
-    # over the last axis, leaving z = exp(z - max); also returns the sum of
+    # over the leading axis, leaving z = exp(z - max); also returns the sum of
     # those. exp() of arguments below -708 gives subnormals or zeros, several
     # times slower to produce and to multiply; the floor moves each sum (at
     # least 1, from its top term) by under n * 1e-304
-    top = z.max(axis=-1)
-    z -= top[..., None]
+    top = z.max(axis=0)
+    z -= top
     np.maximum(z, -700.0, out=z)
     np.exp(z, out=z)
-    total = z.sum(axis=-1)
+    total = z.sum(axis=0)
     return top + np.log(total), total
 
 
-def _smoothed_stage(z, axis_cost, carried, spare):
-    # log-sum-exp over the last axis and the moments of the cost under the
+def _smoothed_stage(z, axis_cost, carried, rest, spare):
+    # log-sum-exp over the leading axis and the moments of the cost under the
     # softmax: a lone stage's from one product with `spare` = (c, c^2) per
     # atom; otherwise carried holds the mean and variance of the cost of the
     # axes behind, combined with this axis' term by the laws of total
     # expectation and variance
     value, total = _log_sum_exp(z)
     if spare.ndim == 3:
-        mean, square = np.matmul(spare, z.transpose(1, 2, 0)).transpose(1, 2, 0) / total
+        mean, square = np.matmul(spare, z.transpose(2, 0, 1)).transpose(1, 2, 0) / total
         return value, (mean, np.maximum(square - mean * mean, 0.0))
     t = spare[: z.size].reshape(z.shape)
-    np.add(axis_cost, 0.0 if carried is None else carried[0], out=t)
-    mean = np.einsum("...j,...j->...", z, t) / total
-    t -= mean[..., None]
+    _stage_costs(t, axis_cost, None if carried is None else carried[0], rest)
+    mean = np.einsum("j...,j...->...", z, t) / total
+    t -= mean
     np.square(t, out=t)
     if carried is not None:
-        t += carried[1]
-    return value, (mean, np.einsum("...j,...j->...", z, t) / total)
+        t += carried[1][:, None] if rest is None else carried[1][:, :, rest]
+    return value, (mean, np.einsum("j...,j...->...", z, t) / total)
 
 
 def _grid_pass(lam, values, stages, rest, buffers, eta=None, moments=True):
@@ -303,67 +320,73 @@ def _grid_pass(lam, values, stages, rest, buffers, eta=None, moments=True):
 
     `values` (P, N) holds each problem's candidate values (in grid order on a
     grid) and `lam` (P,) its multiplier, both times eta when smoothed.
-    `stages` are the axis costs, the first gathered at the atoms, whose
-    behind-cells are `rest` (see :func:`_grid_objective`). The stages are
-    reduced last first: stage k forms the (P, N, n_k) array of the last
-    stage's values minus lam * (l_x - l_zeta)^2 in `buffers[0]` and reduces
-    it over zeta_k; the first stage is formed at the atoms only. Returns, per
-    problem and atom, the exact inner value and (cost at the argmax,), or the
-    log of the sum (not the mean) of the exponentials and (mean, variance) of
-    the cost under the softmax, which take `buffers[1]`. Without `moments`,
-    the value alone and None.
+    `stages` are the axis costs, the first as a (levels, atoms) table at the
+    atoms, whose behind-cells are `rest` (see :func:`_grid_objective`). The
+    stages are reduced last first, each over the leading axis of z in
+    `buffers[0]`: stage k > 0 forms the (n_k, n_k, P, R) array of the last
+    stage's values, led by zeta_k, minus lam * (l_x - l_zeta)^2; the first
+    stage, (n_0, P, atoms), is formed at the atoms only. Returns, per problem
+    and atom, the exact inner value and (least cost among the maximisers,),
+    or the log of the sum (not the mean) of the exponentials and (mean,
+    variance) of the cost under the softmax, which take `buffers[1]`. Without
+    `moments`, the value alone and None.
     """
     if moments:
         stage = _exact_stage if eta is None else _smoothed_stage
     else:
         stage = _max_stage if eta is None else _lse_stage
-    v, stats, after = values, None, 1
+    v, stats, before = values[None], None, values.shape[1]
     for k in reversed(range(len(stages))):
-        n = stages[k].shape[-1]
+        n = len(stages[k])
+        before //= n
+        v = _lead(v, n, before)
         if k:
-            part, axis_cost = None, stages[k][:, None, :]
-            shape = (len(v), values.shape[1] // (n * after), n, after, n)
+            axis_cost = stages[k].T[:, :, None, None]
+            z = buffers[0][: n * v.size].reshape((n,) + v.shape)
+            np.subtract(v[:, None], np.multiply.outer(stages[k].T, lam)[..., None], out=z)
         else:
-            part, axis_cost, shape = rest, stages[0], (len(v),) + stages[0].shape
-        z = buffers[0][: math.prod(shape)].reshape(shape)
-        np.multiply(lam.reshape((-1,) + (1,) * (len(shape) - 1)), axis_cost, out=z)
-        np.subtract(_stage_source(v, shape, after, part), z, out=z)
-        carried = None if stats is None else [_stage_source(s, shape, after, part)
-                                              for s in stats]
-        v, stats = stage(z, axis_cost, carried, buffers[1])
-        after *= n
+            axis_cost = stages[0][:, None]
+            shape = (n, len(lam), axis_cost.shape[-1])
+            z = buffers[0][: math.prod(shape)].reshape(shape)
+            np.multiply(lam[:, None], axis_cost, out=z)
+            np.subtract(v[:, :, rest], z, out=z)
+        stats = None if stats is None else [_lead(s, n, before) for s in stats]
+        v, stats = stage(z, axis_cost, stats, None if k else rest, buffers[1])
     return v, stats
 
 
 def _grid_objective(weights, rows, values, cost, epsilon, eta, problems, moments=True):
     """The `fn` of :func:`convex_minimize` for the transport duals of one block:
     `weights` (P, atoms `rows`), `values` (P, candidates) and `cost` the atoms
-    x candidates matrix or a :class:`GridCost`, one stage per axis. Each
-    evaluation is one :func:`_grid_pass`. Exact: the slope is
-    eps - sum_i w_i c(x_i, zeta_i*) at the stages' argmax, any subgradient
-    where the argmax ties, and the curvature 0 (the objective is piecewise
+    x candidates matrix or a :class:`GridCost`, one stage per axis. The first
+    stage's costs are copied once, as a (levels, atoms) table with the
+    candidates leading; a matrix whose transpose is C-contiguous, and whose
+    rows are all atoms, needs no copy. Each evaluation is one
+    :func:`_grid_pass`. Exact: the slope is eps - sum_i w_i c(x_i, zeta_i*),
+    zeta_i* the maximiser of least cost where maximisers tie, so the slope is
+    the right derivative, and the curvature 0 (the objective is piecewise
     linear). Smoothed: the slope is eps - sum_i w_i E_softmax[c] and the
     curvature eta * sum_i w_i Var_softmax[c]. Without `moments`, the
-    objective returns (value,): no cost at the argmax, no softmax moments,
-    no buffer for them.
+    objective returns (value,): no least cost, no softmax moments, no buffer
+    for them.
     """
     grid = isinstance(cost, GridCost)
     stages = cost.axis_costs() if grid else [cost]
     after = cost.shape[1] // stages[0].shape[1]  # cells behind the first axis
     atom, rest = np.divmod(rows, after)
-    if not np.array_equal(atom, np.arange(len(stages[0]))):
-        stages[0] = stages[0][atom]  # gathered once per block
+    first = stages[0].T
+    stages[0] = (np.ascontiguousarray(first) if np.array_equal(atom, np.arange(len(stages[0])))
+                 else np.take(first, atom, axis=1))
     spare = None
     if eta is not None:
         values, log_n = eta * values, math.log(cost.shape[1])
-        if not grid and moments:  # c and c^2 side by side, the stage's c a view
+        if not grid and moments:  # c and c^2 side by side, per atom
             spare = np.empty((len(rows), 2, cost.shape[1]))
-            spare[:, 0] = stages[0]
-            stages[0] = spare[:, 0]
-            np.square(stages[0], out=spare[:, 1])
+            spare[:, 0] = stages[0].T
+            np.square(spare[:, 0], out=spare[:, 1])
     buffer = np.empty(problems * (cost.stage_cells if grid else stages[0].size))
     buffers = (buffer, np.empty_like(buffer) if eta is not None and grid and moments else spare)
-    rest = rest if after > 1 else slice(None)
+    rest = rest if len(stages) > 1 else slice(None)
 
     def objective(index, lam):
         w = weights[index]

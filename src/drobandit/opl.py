@@ -381,9 +381,12 @@ def smoothed_learning_objective(params: PolicyParams, lam: float,
         return transport_objective(lam, weights, costs, GridCost(levels), epsilon_x, eta)
     live = np.flatnonzero(weights > 0)
     rows = max(1, _BLOCK_CELLS // len(points))
+    # each block's costs are built as the transpose of a (support x block)
+    # matrix, the (candidates, atoms) layout the kernel reads without a copy
     return epsilon_x * lam + sum(
         transport_objective(lam, weights[block], costs,
-                            GroundCost.SQUARED_EUCLIDEAN.pairwise(points[block], points), 0.0, eta)
+                            GroundCost.SQUARED_EUCLIDEAN.pairwise(points, points[block]).T,
+                            0.0, eta)
         for block in (live[i : i + rows] for i in range(0, len(live), rows)))
 
 

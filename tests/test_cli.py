@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from drobandit import cli
 from drobandit.cli import _write_csv, main
 from drobandit.data import load_canonical, save_dataset
 from drobandit.distributions import SupportSet, kl_divergence, make_distribution
@@ -420,6 +421,24 @@ def test_manifest_rerun_reproduces_outputs_byte_identically(tmp_path):
     assert recorded["command"] == "ope"
     assert recorded["inputs"]
     assert recorded["outputs"] == [str(ope_out)]
+
+
+def test_main_reuses_one_parser_and_reads_fresh_defaults(tmp_path, monkeypatch):
+    # the parser is built once per process; each call still starts from the
+    # defaults, whatever flags and subcommand the call before it used
+    seen, load = [], cli.load_dataset
+
+    def recording_load(*args, support):
+        seen.append(support)
+        return load(*args, support=support)
+
+    monkeypatch.setattr(cli, "load_dataset", recording_load)
+    ope = raw_ope(tmp_path, "1,70,control,0.25\n0,61,control,0.75\n1,70,drug,0.1")
+    assert main([*ope, "--support", "observed", "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(raw_radius(tmp_path, "2\n3")) == 0
+    assert main([*ope, "--out", str(tmp_path / "b.csv")]) == 0
+    assert seen == ["observed", "full"]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_ope_manifest_records_solver_and_coverage_diagnostics(tmp_path):

@@ -183,17 +183,25 @@ def test_smoothed_inner_values_floor_leaves_values_unchanged():
     points = rng.uniform(0.0, 10.0, size=(40, 2))
     cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(points[:25], points)
     values, eta = rng.random(40), 10.0
-    powers = np.stack([cmat, cmat * cmat], axis=1)
-    buffers = (np.empty(cmat.size), powers)
+    table = np.ascontiguousarray(cmat.T)  # the kernel's layout, candidates first
+    buffers = (np.empty(cmat.size), np.empty(cmat.size))
     for lam in (0.5, 20.0):
-        z = eta * values[None, :] - (eta * lam) * cmat
-        top = z.max(axis=1)
-        z -= top[:, None]
+        z = eta * values[:, None] - (eta * lam) * table
+        top = z.max(axis=0)
+        z -= top
         assert z.min() < -708.0  # exp() would reach subnormals or zero
-        unfloored = top + np.log(np.exp(z).sum(axis=1))
-        inner, _ = _grid_pass(np.array([eta * lam]), eta * values[None], [powers[:, 0]],
+        unfloored = top + np.log(np.exp(z).sum(axis=0))
+        inner, _ = _grid_pass(np.array([eta * lam]), eta * values[None], [table],
                               slice(None), buffers, eta)
         assert np.array_equal(inner[0], unfloored)
+
+
+def test_exact_solve_stops_at_zero_when_a_free_candidate_ties():
+    # at lam = 0 candidates 0 and 1 tie for the max and the atom sits on 1 at
+    # no cost: the right derivative there is +0.1, so the solve stops at 0
+    p0 = make_distribution(SupportSet(np.array([[0.0], [1.0]])), np.array([0.0, 1.0]))
+    sol = wasserstein_dual_solve(p0, CostVector(p0.support, np.array([1.0, 1.0])), 0.1)
+    assert (sol.lambda_star, sol.value, sol.iterations, sol.gap) == (0.0, 1.0, 1, 0.0)
 
 
 def test_regularized_large_eta_matches_exact():

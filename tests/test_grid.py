@@ -1,5 +1,6 @@
 """The per-axis transport kernel on Cartesian grids against a plain N x N reference."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,12 +33,12 @@ EPSILONS = st.one_of(st.sampled_from([1e-12, 1e3]),
 ETAS = st.one_of(st.none(), st.floats(-1.0, 2.0).map(lambda e: 10.0 ** e))
 
 
-def draw_problems(levels, data):
+def draw_problems(levels, data, values=VALUES):
     """(points, weights (P, N), values (P, N)) on the grid of `levels`."""
     points = grid_points(levels)
     n = len(points)
     p = data.draw(st.integers(1, 3), label="problems")
-    values = np.array(data.draw(st.lists(st.lists(VALUES, min_size=n, max_size=n),
+    values = np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
                                          min_size=p, max_size=p), label="values"))
     raw = np.array(data.draw(st.lists(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.5]),
                                                min_size=n, max_size=n),
@@ -88,6 +89,67 @@ def test_grid_solves_match_dense_solves(levels, data, epsilon, eta):
     scale = np.abs(values).max(axis=1) + 1.0
     assert np.all(np.abs(per_axis.value - dense.value) <= tol + 1e-12 * scale)
     assert np.array_equal(per_axis.upper, dense.upper)
+
+
+# -- the exact slope where maximisers tie --------------------------------------
+
+def test_exact_slope_at_zero_is_the_right_derivative():
+    # all weight on (1, 1); at lam = 0, (0, 0), (0, 1) and (1, 0) tie for the
+    # max at costs 2, 1 and 1, so the right derivative is 0.1 - 1
+    grid = GridCost((np.array([0.0, 1.0]), np.array([0.0, 1.0])))
+    fn = _grid_objective(np.ones((1, 1)), np.array([3]), np.array([[1.0, 1.0, 1.0, 0.5]]),
+                         grid, 0.1, None, 1)
+    value, slope, _ = fn(np.zeros(1, dtype=np.int64), np.zeros(1))
+    assert value[0] == 1.0 and slope[0] == 0.1 - 1.0
+
+
+# integer levels, values in halves and lam in {0, 1/2, 1}: every cost and
+# inner value is exact, so maximisers tie exactly
+INTEGER_GRIDS = st.integers(2, 3).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-2, 3), min_size=1, max_size=4, unique=True).map(sorted),
+    min_size=d, max_size=d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels=INTEGER_GRIDS, data=st.data())
+def test_exact_slope_is_the_least_cost_among_maximisers(levels, data):
+    points, weights, values = draw_problems([np.array(lv, dtype=np.float64) for lv in levels],
+                                            data, st.integers(-4, 4).map(lambda k: k / 2))
+    p, epsilon = len(values), 0.5
+    lam = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=p,
+                                      max_size=p), label="lam"))
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(points, points)
+    atoms = weights.any(axis=0)
+    # contiguous weights, so that einsum sums in the kernel's order
+    w, c = np.ascontiguousarray(weights[:, atoms]), cmat[atoms]
+    z = values[:, None, :] - lam[:, None, None] * c
+    least = np.where(z == z.max(axis=-1, keepdims=True), c, np.inf).min(axis=-1)
+    expected = epsilon - np.einsum("pi,pi->p", w, least)
+    for cost in (GridCost(grid_levels(points)), cmat):
+        fn = _grid_objective(w, np.flatnonzero(atoms), values, cost, epsilon, None, p)
+        assert np.array_equal(fn(np.arange(p), lam)[1], expected)
+
+
+# -- memory --------------------------------------------------------------------
+
+@pytest.mark.parametrize("dead, eta, limit", [
+    (0.0, None, 17.2e6), (0.0, 10.0, 24.7e6), (0.5, None, 12.3e6), (0.5, 10.0, 22.6e6)])
+def test_batched_grid_solve_memory(dead, eta, limit):
+    # 3 problems on a 30 x 30 x 10 grid, every atom live or about half of
+    # them: the peaks of a kernel that gathered the argmax costs over a
+    # trailing candidate axis were 17.2 and 31.0 MB, and 12.3 and 22.6 MB
+    grid = GridCost((np.arange(30.0), np.arange(30.0), np.arange(10.0)))
+    rng = np.random.default_rng(3)
+    weights = rng.random((3, grid.shape[0])) * (rng.random(grid.shape[0]) >= dead)
+    weights /= weights.sum(axis=1, keepdims=True)
+    values = rng.random((3, grid.shape[0]))
+    tracemalloc.start()
+    try:
+        solve_transport_duals(weights, values, grid, 50.0, eta=eta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
 
 
 # -- detection ---------------------------------------------------------------
