@@ -279,12 +279,13 @@ def _scan(buffer, size, path, columns):
     file; a line is blank when nothing comes before its end. Offsets are
     int32 below 2 GB.
     """
-    if (buffer.find(b'"', 0, size) >= 0 or buffer.find(b"\0", 0, size) >= 0
-            or buffer.count(b"\r", 0, size) != buffer.count(b"\r\n", 0, size)):
+    if buffer.find(b'"', 0, size) >= 0 or buffer.find(b"\0", 0, size) >= 0:
         return None
     data = np.frombuffer(buffer, dtype=np.uint8)
     offset = np.int32 if len(buffer) < 2**31 else np.int64
     ends = np.flatnonzero(data[:size] == ord("\n")).astype(offset)
+    if np.count_nonzero(data[:size] == ord("\r")) != np.count_nonzero(data[ends - 1] == ord("\r")):
+        return None  # a lone carriage return, one not just before a newline
     if size and data[size - 1] != ord("\n"):
         ends = np.append(ends, offset(size))
     if not len(ends):

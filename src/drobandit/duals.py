@@ -22,7 +22,7 @@ the maximisers or softmax it already computes, and its curvature where it
 has one. The exact dual, piecewise linear, takes cutting-plane steps (Kelley,
 1960); the smoothed and KL duals take safeguarded Newton steps. Every value
 comes with a certified gap: the minimum lies within `gap` below it. A single
-solve is a batch of one.
+solve takes the same steps on Python floats.
 """
 from __future__ import annotations
 
@@ -130,9 +130,13 @@ def convex_minimize(fn, hi, tol, max_iter: int = 400):
 
     Returns per-problem (argmin, min, gap, number of evaluations). Raises
     :class:`NumericalError` if a problem is still open after `max_iter`
-    evaluations.
+    evaluations. One problem (P = 1) takes the same steps on floats, bit for
+    bit, without the per-step array bookkeeping (:func:`_minimize_one`).
     """
     hi, tol = np.broadcast_arrays(*np.atleast_1d(np.asarray(hi, dtype=np.float64), tol))
+    if len(hi) == 1:
+        x, f, gap, count = _minimize_one(fn, float(hi[0]), float(tol[0]), max_iter)
+        return np.array([x]), np.array([f]), np.array([gap]), np.array([count], dtype=np.int64)
     best_x = np.zeros(len(hi))
     best_f, g0, h0 = fn(np.arange(len(hi)), best_x)
     best_f, gap = np.array(best_f, dtype=np.float64), np.zeros(len(hi))
@@ -146,7 +150,8 @@ def convex_minimize(fn, hi, tol, max_iter: int = 400):
         (a, fa, ga, _), (b, fb, gb, _) = lo, up
         x, f, g, h = np.where(fa <= fb, lo, up)  # the best iterate is always an end
         width = b - a
-        cross = a + np.clip((fa - fb + gb * width) / (gb - ga), 0.0, width)
+        cross = np.divide(fa - fb + gb * width, gb - ga, out=np.zeros_like(ga), where=gb > 0)
+        cross = a + np.clip(cross, 0.0, width)  # gb <= 0 stops at b, whatever the crossing
         cut = np.maximum(np.minimum(f - (fa + ga * (cross - a)), np.abs(g) * width), 0.0)
         newton = (h > 0) & ((x - b) * h < g) & (g < (x - a) * h)  # x - g/h inside (a, b)
         newton = x - np.divide(g, h, out=np.zeros_like(g), where=newton)
@@ -170,6 +175,35 @@ def convex_minimize(fn, hi, tol, max_iter: int = 400):
         right = new[2] >= 0  # the new point replaces b or a
         lo, up = np.where(right, lo, new), np.where(right, new, up)
     return best_x, best_f, gap, evals
+
+
+def _minimize_one(fn, hi, tol, max_iter):
+    """:func:`convex_minimize`'s loop on floats, as (argmin, min, gap, evaluations);
+    slope(b) <= 0 is tested first, as equal end slopes would divide by zero."""
+    def end(x):  # (point, value, slope, curvature)
+        return (x, *(float(r[0]) for r in fn(np.arange(1), np.array([x]))))
+
+    lo = end(0.0)
+    if not (lo[2] < 0 and hi > 0):
+        return 0.0, lo[1], 0.0, 1
+    up, count = end(hi), 2
+    while True:
+        (a, fa, ga, _), (b, fb, gb, _) = lo, up
+        if gb <= 0:
+            return b, fb, 0.0, count
+        x, f, g, h = lo if fa <= fb else up
+        width = b - a
+        cross = a + min(max((fa - fb + gb * width) / (gb - ga), 0.0), width)
+        cut = max(min(f - (fa + ga * (cross - a)), abs(g) * width), 0.0)
+        step = x - g / h if h > 0 and (x - b) * h < g < (x - a) * h else x
+        if not a < step < b:
+            step = cross
+        if cut <= tol or not a < step < b:
+            return x, f, cut, count
+        if count >= max_iter:
+            raise NumericalError(f"convex minimization open after {count} evaluations")
+        new, count = end(step), count + 1
+        lo, up = (lo, new) if new[2] >= 0 else (new, up)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .distributions import DiscreteDistribution, SupportSet, empirical_distribution, _as_points
+from .distributions import DiscreteDistribution, SupportSet, _as_points
 from .errors import (
     DegenerateInput,
     InstanceTooLarge,
@@ -158,8 +158,9 @@ def wasserstein_distance(p: DiscreteDistribution,
     if m * n > MAX_PAIRWISE_CELLS:
         raise InstanceTooLarge(f"{m} x {n} plan exceeds {MAX_PAIRWISE_CELLS} cells")
     if p.support.dim == 1:
-        distance, plan = _monotone_coupling(p.support.points[:, 0], p.weights,
-                                            q.support.points[:, 0], q.weights)
+        distance, i, j, mass = _monotone_coupling(p.support.points[:, 0], p.weights,
+                                                  q.support.points[:, 0], q.weights)
+        plan = TransportPlan(np.bincount(i * n + j, mass, m * n).reshape(m, n))
     else:
         cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p.support.points, q.support.points)
         # row-sum then column-sum constraints on the row-major plan entries k;
@@ -174,8 +175,8 @@ def wasserstein_distance(p: DiscreteDistribution,
     return distance, plan
 
 
-def _monotone_coupling(x, p_w, y, q_w) -> tuple[float, TransportPlan]:
-    """North-west-corner coupling of two distributions on the line.
+def _monotone_coupling(x, p_w, y, q_w):
+    """North-west-corner coupling on the line: (cost, i, j, mass) entries.
 
     Each level u in (0, 1] of the merged cumulative weights of the sorted
     supports is sent from p's u-quantile to q's: mass levels[k] - levels[k-1]
@@ -190,10 +191,8 @@ def _monotone_coupling(x, p_w, y, q_w) -> tuple[float, TransportPlan]:
     # the totals agree to rounding; the last level may pass the smaller one
     i = px[np.minimum(np.searchsorted(p_cdf, levels), len(x) - 1)]
     j = qy[np.minimum(np.searchsorted(q_cdf, levels), len(y) - 1)]
-    matrix = np.zeros((len(x), len(y)))
-    np.add.at(matrix, (i, j), mass)
     gap = x[i] - y[j]
-    return float(mass @ (gap * gap)), TransportPlan(matrix)
+    return float(mass @ (gap * gap)), i, j, mass
 
 
 def solve_max_lp(objective, eq_lhs, eq_rhs) -> tuple[float, np.ndarray]:
@@ -223,18 +222,24 @@ def split_radius_estimate(contexts, seed: int) -> float:
 
     The samples are shuffled with the given seed and split evenly (odd counts
     put the extra sample in the first half); both halves become empirical
-    distributions over the union of observed points. Because the transport
-    distance is finite across differing supports, this is always well defined
-    -- unlike a KL-based radius, which is infinite as soon as the halves miss
-    one another's points.
+    distributions over the union of observed points, counted by one
+    :func:`numpy.unique`; near-equal or non-finite points raise ValueError. On
+    the line no plan is formed. The transport distance is finite across
+    differing supports, so this is always well defined -- unlike a KL-based
+    radius, which is infinite as soon as the halves miss one another's points.
     """
     pts = _as_points(contexts)
     if len(pts) < 4:
         raise TooFewSamples(f"need at least 4 samples, got {len(pts)}")
     order = np.random.default_rng(seed).permutation(len(pts))
     cut = (len(pts) + 1) // 2
-    first, second = pts[order[:cut]], pts[order[cut:]]
-    union = SupportSet(np.unique(pts, axis=0))
-    d, _ = wasserstein_distance(
-        empirical_distribution(first, union), empirical_distribution(second, union))
-    return d
+    union, inverse = (np.unique(pts[:, 0], return_inverse=True) if pts.shape[1] == 1
+                      else np.unique(pts, axis=0, return_inverse=True))
+    support = SupportSet(union)
+    inverse = inverse.ravel()[order]  # the shape with axis=0 varies across numpy 2.0.x
+    first, second = (np.bincount(half, minlength=len(union)) / len(half)
+                     for half in (inverse[:cut], inverse[cut:]))
+    if support.dim == 1:
+        return _monotone_coupling(union, first, union, second)[0]
+    return wasserstein_distance(DiscreteDistribution(support, first),
+                                DiscreteDistribution(support, second))[0]

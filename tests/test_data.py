@@ -24,6 +24,7 @@ from drobandit.data import (
     ContextExtension,
     ShiftSpec,
     SyntheticConfig,
+    _read_rows,
     apply_shift,
     canonical_rate_config,
     synthetic_config_from_json,
@@ -395,6 +396,20 @@ def test_quoted_fields_keep_csv_reader(tmp_path):
     (arms, codes), = table.parse([("arm", str)])
     assert arms == ["a,b", "two\nlines"] and codes.tolist() == [0, 1, 0]
     assert_reads_like_csv_reader(path)
+
+
+@pytest.mark.parametrize("text, scanned", [
+    (b"x,arm\r\n1,a\r2,b\r\n", False),  # a lone CR mid-record: csv.reader ends the line there
+    (b"x,arm\r\n1,a\r\n2,b\r", False),  # a trailing CR with no newline after it
+    (b"x,arm\r\n1,a\r\n\r\n2,b\r\n", True),  # CRLF endings only
+])
+def test_lone_carriage_returns_keep_csv_reader(tmp_path, text, scanned):
+    path = tmp_path / "log.csv"
+    path.write_bytes(text)
+    with mock.patch("drobandit.data._read_rows", wraps=_read_rows) as read_rows:
+        assert_reads_like_csv_reader(path)
+    assert read_rows.called is not scanned
+    assert CsvColumns(path).parse([("arm", str)])[0][0] == ["a", "b"]
 
 
 def test_round_trip_canonical(tmp_path):

@@ -154,6 +154,97 @@ def test_convex_minimize_raises_at_the_iteration_cap():
     assert 0.0 <= gap[0] <= 1e-2 and value[0] - gap[0] <= 0.0
 
 
+def affine_max(pieces, t=None):
+    """(value, right derivative, curvature) at x of max_k (a_k + b_k x) over
+    `pieces` (a_k, b_k), or with a sharpness `t` of its smoothing (1/t) log
+    sum_k exp(t (a_k + b_k x)), exponents floored at -700 as the kernel's."""
+    def at(x):
+        lines = [a + b * x for a, b in pieces]
+        top = max(lines)
+        if t is None:
+            return top, max(b for line, (_, b) in zip(lines, pieces) if line == top), 0.0
+        w = [math.exp(max(t * (line - top), -700.0)) for line in lines]
+        total = sum(w)
+        mean = sum(wk * b for wk, (_, b) in zip(w, pieces)) / total
+        spread = sum(wk * (b - mean) ** 2 for wk, (_, b) in zip(w, pieces)) / total
+        return top + math.log(total) / t, mean, t * spread
+    return at
+
+
+def batch_objective(problems):
+    """`convex_minimize`'s fn over scalar problems, row by row, so a row's
+    arithmetic does not depend on the batch around it."""
+    def fn(index, x):
+        rows = [problems[p](v) for p, v in zip(index.tolist(), x.tolist())]
+        return tuple(np.array(column) for column in zip(*rows))
+    return fn
+
+
+def assert_lone_solves_match_the_batch(problems, hi, tol, max_iter):
+    """Each problem alone (the float path) against its row of the batch (the
+    array path), bit for bit; with a cap that some problem exceeds, the batch
+    raises, and a lone problem raises iff it is the one."""
+    uncapped = convex_minimize(batch_objective(problems), hi, tol)
+    capped = [evals > max(max_iter, 2) for evals in uncapped[3]]  # the first two always run
+    if any(capped):
+        with pytest.raises(NumericalError):
+            convex_minimize(batch_objective(problems), hi, tol, max_iter)
+    else:
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(convex_minimize(batch_objective(problems), hi, tol, max_iter), uncapped))
+    for p, problem in enumerate(problems):
+        if capped[p]:
+            with pytest.raises(NumericalError):
+                convex_minimize(batch_objective([problem]), hi[p], tol[p], max_iter)
+            continue
+        alone = convex_minimize(batch_objective([problem]), hi[p], tol[p], max_iter)
+        for got, want in zip(alone, uncapped):
+            assert got.dtype == want.dtype and got.shape == (1,)
+            assert np.array_equal(got, want[p : p + 1])
+
+
+QUARTERS = st.integers(-16, 16).map(lambda k: k / 4)
+CONVEX_PROBLEMS = st.tuples(
+    st.lists(st.tuples(QUARTERS, QUARTERS), min_size=1, max_size=4),  # (a_k, b_k)
+    st.sampled_from([None, 0.5, 5.0, 50.0]),  # exact or smoothed
+    st.sampled_from([0.0, 1e-3, 0.5, 3.0, 40.0]),  # hi
+    st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]),  # tol; at 0 only rounding or cut 0 stops
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=st.lists(CONVEX_PROBLEMS, min_size=2, max_size=5),
+       max_iter=st.sampled_from([1, 3, 6, 400]))
+def test_a_lone_solve_matches_its_row_in_a_batch(drawn, max_iter):
+    assert_lone_solves_match_the_batch([affine_max(pieces, t) for pieces, t, _, _ in drawn],
+                                       [hi for *_, hi, _ in drawn],
+                                       [tol for *_, tol in drawn], max_iter)
+
+
+@pytest.mark.parametrize("pieces, t, hi, tol, exit, exit_evals", [
+    ([(0.0, 1.0), (-1.0, 2.0)], None, 3.0, 1e-9, "at 0", 1),  # slope(0) >= 0
+    ([(0.0, -1.0), (-1.0, 2.0)], 5.0, 0.0, 1e-9, "at 0", 1),  # hi = 0
+    ([(1.0, -1.0), (0.5, -1.0)], None, 3.0, 1e-9, "at hi", 2),  # equal end slopes <= 0
+    ([(1.0, -1.0)], 5.0, 3.0, 1e-9, "at hi", 2),  # the same, smoothed
+    ([(1.5, 1.5), (3.25, -3.0), (-2.75, -1.5)], None, 3.0, 0.0, "rounding", 3),
+    ([(0.25, -4.0), (3.0, 0.0), (-2.75, 0.75), (-0.25, -3.75)], 5.0, 3.0, 0.0, "tol", 15),
+    ([(0.0, -1.0), (-2.0, 1.0)], None, 2.0, 1.0, "tol", 2),  # ends tie: the best is a
+])
+def test_lone_solve_matches_its_batch_row_at_the_edge_exits(pieces, t, hi, tol, exit, exit_evals):
+    # each edge problem alone, then first and last in a batch of three; at a cap
+    # of exit_evals - 1 the ones that make more than two evaluations raise
+    edge = affine_max(pieces, t)
+    x, _, gap, evals = convex_minimize(batch_objective([edge]), hi, tol)
+    assert evals[0] == exit_evals
+    assert {"at 0": x[0] == 0.0 and gap[0] == 0.0, "at hi": x[0] == hi and gap[0] == 0.0,
+            "rounding": gap[0] > tol, "tol": 0.0 <= gap[0] <= tol}[exit]
+    others = [affine_max([(0.0, -1.0), (-2.0, 1.0)]), affine_max([(0.0, -1.0), (-2.0, 1.0)], 5.0)]
+    for problems in ([edge] + others, others + [edge]):
+        hi_all, tol_all = [hi if f is edge else 3.0 for f in problems], [tol, tol, tol]
+        assert_lone_solves_match_the_batch(problems, hi_all, tol_all, 400)
+        assert_lone_solves_match_the_batch(problems, hi_all, tol_all, exit_evals - 1)
+
+
 # -- log-sum-exp -------------------------------------------------------------------
 
 def test_lse_equal_entries_exact():

@@ -11,6 +11,7 @@ from scipy.optimize import linprog
 from drobandit import (
     GroundCost,
     SupportSet,
+    empirical_distribution,
     kl_divergence,
     make_distribution,
     split_radius_estimate,
@@ -204,6 +205,56 @@ def test_split_radius_odd_count_extra_goes_first():
     assert len(first) == 3 and len(second) == 2
 
 
+def composed_split_radius(contexts, seed):
+    """The split radius composed from the public pieces: the union by
+    np.unique(axis=0), each half's empirical distribution over it, and
+    wasserstein_distance between the two."""
+    pts = np.asarray(contexts, dtype=float).reshape(len(contexts), -1)
+    order = np.random.default_rng(seed).permutation(len(pts))
+    cut = (len(pts) + 1) // 2
+    union = SupportSet(np.unique(pts, axis=0))
+    return wasserstein_distance(empirical_distribution(pts[order[:cut]], union),
+                                empirical_distribution(pts[order[cut:]], union))[0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(dim=st.sampled_from([1, 2]), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 0.1, -3.7]))
+def test_split_radius_equals_the_composed_distance(dim, data, seed, scale):
+    # few distinct levels: many repeated points, odd and even counts
+    n = data.draw(st.integers(4, 41))
+    levels = data.draw(st.lists(st.integers(0, 5), min_size=n * dim, max_size=n * dim))
+    contexts = np.array(levels, dtype=float).reshape(n, dim) * scale
+    if dim == 1 and data.draw(st.booleans()):
+        contexts = contexts[:, 0]  # a flat sample, as callers pass scalars
+    assert split_radius_estimate(contexts, seed) == composed_split_radius(contexts, seed)
+
+
+@pytest.mark.parametrize("contexts, error", [
+    ([], TooFewSamples),
+    ([[0.0, 1.0]] * 3, TooFewSamples),
+    ([0.0, 1.0, np.nan, 2.0], ValueError),
+    ([[0.0, 1.0], [np.inf, 0.0], [0.0, 1.0], [2.0, 2.0]], ValueError),
+    ([0.0, 1e-13, 1.0, 1.0], ValueError),  # two points within 1e-12
+    ([[0.0, 5.0], [1e-13, 5.0], [1.0, 1.0], [1.0, 1.0]], ValueError),
+])
+def test_split_radius_refuses_what_the_union_support_refuses(contexts, error):
+    with pytest.raises(error):
+        split_radius_estimate(contexts, seed=0)
+
+
+def test_split_radius_on_the_line_forms_no_plan():
+    # 6,000 distinct values: a 6,000 x 6,000 plan would need 288 MB
+    values = np.random.default_rng(4).permutation(6000) * 0.5
+    tracemalloc.start()
+    radius = split_radius_estimate(values, seed=1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    first, second = _split_halves(values, seed=1)
+    assert radius == pytest.approx(np.mean((np.array(first) - np.array(second)) ** 2), rel=1e-12)
+    assert peak < 4 * 2**20
+
+
 # -- the monotone coupling on the line ------------------------------------------------
 
 def highs_transport_value(p_weights, q_weights, cost_matrix):
@@ -246,3 +297,27 @@ def test_line_coupling_matches_lp_oracles(p_atoms, q_atoms, shift):
     assert d == pytest.approx(exact, rel=1e-12, abs=1e-9)
     assert d == pytest.approx(highs_transport_value(p.weights, q.weights, cmat),
                               rel=1e-9, abs=1e-9)
+
+
+def dense_line_plan(x, p_w, y, q_w):
+    """The north-west-corner plan on the line as a dense matrix, its entries
+    added cell by cell with np.add.at in the coupling's level order."""
+    px, qy = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
+    p_cdf, q_cdf = np.cumsum(p_w[px]), np.cumsum(q_w[qy])
+    levels = np.union1d(p_cdf, q_cdf)
+    levels = levels[levels > 0]
+    mass = np.diff(levels, prepend=0.0)
+    i = px[np.minimum(np.searchsorted(p_cdf, levels), len(x) - 1)]
+    j = qy[np.minimum(np.searchsorted(q_cdf, levels), len(y) - 1)]
+    matrix = np.zeros((len(x), len(y)))
+    np.add.at(matrix, (i, j), mass)
+    return matrix
+
+
+@settings(max_examples=80, deadline=None)
+@given(p_atoms=LINE_ATOMS, q_atoms=LINE_ATOMS, shift=st.sampled_from([0.0, 0.25, 20.0]))
+def test_line_plan_is_the_north_west_corner_plan(p_atoms, q_atoms, shift):
+    p, q = line_dist(p_atoms, 0.0), line_dist(q_atoms, shift)
+    _, plan = wasserstein_distance(p, q)
+    assert np.array_equal(plan.matrix, dense_line_plan(p.support.points[:, 0], p.weights,
+                                                        q.support.points[:, 0], q.weights))
