@@ -223,10 +223,10 @@ def split_radius_estimate(contexts, seed: int) -> float:
     The samples are shuffled with the given seed and split evenly (odd counts
     put the extra sample in the first half); both halves become empirical
     distributions over the union of observed points, counted by one
-    :func:`numpy.unique`; near-equal or non-finite points raise ValueError. On
-    the line no plan is formed. The transport distance is finite across
-    differing supports, so this is always well defined -- unlike a KL-based
-    radius, which is infinite as soon as the halves miss one another's points.
+    :func:`numpy.unique`, of the column on the line (``axis=0`` sorts rows as
+    records, doubling the radius's time), where no plan is formed either;
+    near-equal or non-finite points raise ValueError. The distance is finite
+    across differing supports, unlike a KL radius once the halves' points differ.
     """
     pts = _as_points(contexts)
     if len(pts) < 4:
