@@ -49,7 +49,7 @@ from .distributions import (
     SupportSet,
     kl_divergence,
     make_distribution,
-    match_indices,
+    unique_rows,
 )
 from .ope import (CostModel, Policy, cost_kernel, evaluate_policy, rate_experiment,
                   robust_cost_table)
@@ -124,13 +124,13 @@ def _load_distribution_csv(path) -> DiscreteDistribution:
     return make_distribution(SupportSet(values[:, :-1]), values[:, -1], pre_normalize=True)
 
 
-def _load_bandit_data(args):
+def _load_bandit_data(args, support):
     inputs = [args.data]
     if args.config:
         with open(args.config) as handle:
             schema = json.load(handle)
         inputs.append(args.config)
-        dataset = load_dataset(args.data, schema, support=args.support)
+        dataset = load_dataset(args.data, schema, support=support)
     else:
         dataset = load_canonical(args.data)
         inputs.append(f"{args.data}.meta.json")
@@ -147,10 +147,10 @@ def _load_policy(spec: str, n_contexts: int, n_actions: int):
 
 def _union_support(p: DiscreteDistribution, q: DiscreteDistribution):
     """Re-express both distributions on the union of their supports."""
-    union = SupportSet(np.unique(np.vstack([p.support.points, q.support.points]), axis=0))
-    return tuple(DiscreteDistribution(union, np.bincount(match_indices(d.support.points, union),
-                                                         d.weights, minlength=len(union)))
-                 for d in (p, q))
+    points, inverse = unique_rows(np.vstack([p.support.points, q.support.points]))
+    union = SupportSet(points)
+    return tuple(DiscreteDistribution(union, np.bincount(codes, d.weights, minlength=len(union)))
+                 for d, codes in ((p, inverse[: len(p.support)]), (q, inverse[len(p.support):])))
 
 
 # -- subcommand handlers --------------------------------------------------------
@@ -182,7 +182,8 @@ def cmd_distance(args, argv) -> int:
 def cmd_radius(args, argv) -> int:
     start = time.monotonic()
     if args.config:
-        dataset, inputs = _load_bandit_data(args)
+        # the records' binned contexts, the same on either support
+        dataset, inputs = _load_bandit_data(args, "observed")
         contexts = dataset.contexts.points[dataset.context_idx]
     else:
         inputs = [args.data]
@@ -214,7 +215,7 @@ def _robust_table(args, dataset):
 
 def cmd_ope(args, argv) -> int:
     start = time.monotonic()
-    dataset, inputs = _load_bandit_data(args)
+    dataset, inputs = _load_bandit_data(args, args.support)
     policy, extra = _load_policy(args.policy, len(dataset.contexts), len(dataset.actions))
     inputs.extend(extra)
     method, eps_x, eps_c, table = _robust_table(args, dataset)
@@ -267,7 +268,7 @@ def _parse_grouping(spec: str, n_contexts: int):
 
 def cmd_opl(args, argv) -> int:
     start = time.monotonic()
-    dataset, inputs = _load_bandit_data(args)
+    dataset, inputs = _load_bandit_data(args, args.support)
     method, eps_x, eps_c, table = _robust_table(args, dataset)
     context_dist = dataset.empirical_context_distribution()
     grouping, extra = _parse_grouping(args.grouping, len(dataset.contexts))
@@ -290,8 +291,7 @@ def cmd_opl(args, argv) -> int:
         eta = args.eta if args.eta is not None else 10.0
         config = BsgdConfig(
             iterations=args.iterations, inner_batch=args.batch, eta=eta,
-            epsilon_x=eps_x, seed=args.seed, gamma=args.gamma,
-            gamma_scale=args.gamma_scale, lambda0=args.lambda0,
+            epsilon_x=eps_x, seed=args.seed, gamma=args.gamma, lambda0=args.lambda0,
         )
         if args.theta0:
             start_theta = np.asarray([float(v) for v in args.theta0.split(",")], dtype=np.float64)
@@ -464,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radius", help="data-driven radius from a split sample")
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--support", choices=("full", "observed"), default="full")
     _add_common(p)
     p.set_defaults(handler=cmd_radius)
 
@@ -483,9 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parameterization", choices=("clamp", "softmax"), default="clamp")
     p.add_argument("--iterations", type=int, default=20000)
     p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--gamma", type=float, default=None, help="constant step size")
-    p.add_argument("--gamma-scale", type=float, default=0.5,
-                   help="step = gamma_scale / sqrt(iterations) when --gamma is unset")
+    p.add_argument("--gamma", type=float, default=None,
+                   help="constant step size (default 0.5 / sqrt(iterations))")
     p.add_argument("--lambda0", type=float, default=0.0)
     p.add_argument("--theta0", default=None, help="comma-separated initial parameters")
     p.add_argument("--resolution", type=int, default=101, help="grid points per dimension")

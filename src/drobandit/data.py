@@ -35,6 +35,7 @@ from .distributions import (
     DatasetDiagnostics,
     DiscreteDistribution,
     SupportSet,
+    unique_rows,
 )
 from .errors import (
     EmptyDataset,
@@ -416,8 +417,7 @@ def load_dataset(path, schema: dict, support: str = "full") -> BanditDataset:
         grid = np.meshgrid(*levels, indexing="ij")
         points = np.stack([g.ravel() for g in grid], axis=1)
     else:
-        seen, context_idx = np.unique(np.stack(level_codes, axis=1), axis=0,
-                                      return_inverse=True)
+        seen, context_idx = unique_rows(np.stack(level_codes, axis=1))
         points = np.stack([lv[c] for lv, c in zip(levels, seen.T)], axis=1)
 
     actions = tuple(declared_actions) if declared_actions else tuple(sorted(set(labels)))

@@ -36,6 +36,45 @@ def _as_points(points) -> np.ndarray:
     return arr
 
 
+def _has_near_pair(pts: np.ndarray) -> bool:
+    """Whether two rows of `pts` agree to POINT_MATCH_ATOL in every coordinate.
+
+    Per coordinate, the sorted values split into runs wherever neighbours
+    differ by more than the tolerance, so two such rows share every run; only
+    rows that share all their runs, none on binned data, are compared pairwise.
+    On the line, near points sort side by side.
+    """
+    if pts.shape[1] == 1:
+        return bool(np.any(np.diff(np.sort(pts[:, 0])) <= POINT_MATCH_ATOL))
+    runs = np.zeros(pts.T.shape, dtype=np.int64)
+    for run, column in zip(runs, pts.T):
+        order = np.argsort(column)
+        run[order[1:]] = np.cumsum(np.diff(column[order]) > POINT_MATCH_ATOL)
+    order = np.lexsort(runs)  # rows that share all their runs fall side by side
+    key = runs[:, order]
+    edges = np.flatnonzero(np.concatenate(([True], np.any(key[:, 1:] != key[:, :-1], axis=0),
+                                           [True])))
+    for j in np.flatnonzero(np.diff(edges) > 1):
+        rows = pts[order[edges[j] : edges[j + 1]]]
+        for i in range(len(rows) - 1):
+            if np.any(np.all(np.abs(rows[i + 1:] - rows[i]) <= POINT_MATCH_ATOL, axis=1)):
+                return True
+    return False
+
+
+def unique_rows(points):
+    """The distinct rows of a (n, d) array in lexicographic order, and each
+    row's index among them: ``np.unique(points, axis=0, return_inverse=True)``,
+    with the inverse always 1-d (its shape varies across numpy 2.0.x). A single
+    column takes the faster 1-d ``np.unique`` (``axis=0`` sorts rows as
+    records) and comes back as an (m, 1) array all the same."""
+    if points.shape[1] == 1:
+        union, inverse = np.unique(points[:, 0], return_inverse=True)
+        return union[:, None], inverse.ravel()
+    union, inverse = np.unique(points, axis=0, return_inverse=True)
+    return union, inverse.ravel()
+
+
 @dataclass(frozen=True)
 class SupportSet:
     """Ordered, pairwise-distinct points in R^m. Index i always names the same point."""
@@ -50,10 +89,7 @@ class SupportSet:
             return
         if not np.all(np.isfinite(pts)):
             raise ValueError("support points must be finite")
-        order = np.lexsort(pts.T[::-1])
-        ordered = pts[order]
-        dup = np.all(np.abs(np.diff(ordered, axis=0)) <= POINT_MATCH_ATOL, axis=1)
-        if np.any(dup):
+        if _has_near_pair(pts):
             raise ValueError("support points must be pairwise distinct")
 
     @classmethod

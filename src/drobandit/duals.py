@@ -330,15 +330,12 @@ def _log_sum_exp(z):
 
 
 def _smoothed_stage(z, axis_cost, carried, rest, spare):
-    # log-sum-exp over the leading axis and the moments of the cost under the
-    # softmax: a lone stage's from one product with `spare` = (c, c^2) per
-    # atom; otherwise carried holds the mean and variance of the cost of the
-    # axes behind, combined with this axis' term by the laws of total
-    # expectation and variance
+    # log-sum-exp over the leading axis and the mean and variance of the cost
+    # under the softmax, the costs laid out in the flat buffer `spare`. From
+    # the second stage reduced on, carried holds the mean and variance of the
+    # cost of the axes behind, combined with this axis' term by the laws of
+    # total expectation and variance
     value, total = _log_sum_exp(z)
-    if spare.ndim == 3:
-        mean, square = np.matmul(spare, z.transpose(2, 0, 1)).transpose(1, 2, 0) / total
-        return value, (mean, np.maximum(square - mean * mean, 0.0))
     t = spare[: z.size].reshape(z.shape)
     _stage_costs(t, axis_cost, None if carried is None else carried[0], rest)
     mean = np.einsum("j...,j...->...", z, t) / total
@@ -396,10 +393,11 @@ def _grid_objective(weights, rows, values, cost, epsilon, eta, problems, moments
     stage's costs are copied once, as a (levels, atoms) table with the
     candidates leading; a matrix whose transpose is C-contiguous, and whose
     rows are all atoms, needs no copy. Each evaluation is one
-    :func:`_grid_pass`. Exact: the slope is eps - sum_i w_i c(x_i, zeta_i*),
-    zeta_i* the maximiser of least cost where maximisers tie, so the slope is
-    the right derivative, and the curvature 0 (the objective is piecewise
-    linear). Smoothed: the slope is eps - sum_i w_i E_softmax[c] and the
+    :func:`_grid_pass`; the softmax moments take a second buffer the size of
+    the first, on a matrix as on a grid. Exact: the slope is eps - sum_i w_i
+    c(x_i, zeta_i*), zeta_i* the maximiser of least cost where maximisers
+    tie, so the slope is the right derivative, and the curvature 0 (the
+    objective is piecewise linear). Smoothed: the slope is eps - sum_i w_i E_softmax[c] and the
     curvature eta * sum_i w_i Var_softmax[c]. Without `moments`, the
     objective returns (value,): no least cost, no softmax moments, no buffer
     for them.
@@ -411,15 +409,10 @@ def _grid_objective(weights, rows, values, cost, epsilon, eta, problems, moments
     first = stages[0].T
     stages[0] = (np.ascontiguousarray(first) if np.array_equal(atom, np.arange(len(stages[0])))
                  else np.take(first, atom, axis=1))
-    spare = None
     if eta is not None:
         values, log_n = eta * values, math.log(cost.shape[1])
-        if not grid and moments:  # c and c^2 side by side, per atom
-            spare = np.empty((len(rows), 2, cost.shape[1]))
-            spare[:, 0] = stages[0].T
-            np.square(spare[:, 0], out=spare[:, 1])
     buffer = np.empty(problems * (cost.stage_cells if grid else stages[0].size))
-    buffers = (buffer, np.empty_like(buffer) if eta is not None and grid and moments else spare)
+    buffers = (buffer, np.empty_like(buffer) if eta is not None and moments else None)
     rest = rest if len(stages) > 1 else slice(None)
 
     def objective(index, lam):
@@ -455,12 +448,6 @@ def transport_objective(lam, weights, values, cost, epsilon, eta=None) -> float:
     return float(fn(np.zeros(1, dtype=np.int64), np.array([float(lam)]))[0][0])
 
 
-def problem_cells(cost_matrix) -> int:
-    """Cells one problem adds to a batched step's temporary: the matrix's size,
-    or a :class:`GridCost`'s `stage_cells`."""
-    return cost_matrix.stage_cells if isinstance(cost_matrix, GridCost) else cost_matrix.size
-
-
 def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
                           eta=None, plugin=None) -> DualBatch:
     """Transport-ball duals of P problems that share one cost matrix.
@@ -470,10 +457,11 @@ def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
     :class:`~drobandit.transport.GridCost` when atoms and candidates are the
     same grid (the inner steps then run axis by axis, :func:`_grid_pass`);
     `eta=None` is the exact dual, a positive `eta` the smoothed one. Blocks of
-    at most `_BLOCK_CELLS` cells (:func:`problem_cells` per problem), less
-    their weightless atoms, run in lockstep in :func:`convex_minimize`, each
-    problem to a certified gap of at most `tol`. `plugin` (epsilon = 0)
-    defaults to row-wise weights . values, right when atoms are the candidates.
+    at most `_BLOCK_CELLS` cells (per problem the matrix's size, or the
+    GridCost's `stage_cells`), less their weightless atoms, run in lockstep in
+    :func:`convex_minimize`, each problem to a certified gap of at most `tol`,
+    so callers pass any number of problems. `plugin` (epsilon = 0) defaults to
+    row-wise weights . values, right when atoms are the candidates.
 
     Every coupling costs at least reach = sum_i w_i min_j c(x_i, zeta_j), 0
     when every atom is a candidate; a radius below it raises
@@ -518,7 +506,7 @@ def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
     slack = 0.0 if eta is None else math.log(values.shape[1]) / eta
     hi = (shifted.max(axis=1) + slack) / (epsilon - reach)
     lam, value, gap, evals = np.empty((4, len(values)))
-    step = max(1, _BLOCK_CELLS // max(problem_cells(cost_matrix), 1))
+    step = max(1, _BLOCK_CELLS // max(cost_matrix.stage_cells if grid else cost_matrix.size, 1))
     for block in (slice(s, s + step) for s in range(0, len(values), step)):
         atoms = weights[block].any(axis=0)
         objective = _grid_objective(weights[block][:, atoms], np.flatnonzero(atoms),

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, SupportSet
-from .duals import (_BLOCK_CELLS, check_transport_arguments, problem_cells,
-                    transport_objective)
+from .duals import _BLOCK_CELLS, check_transport_arguments, transport_objective
 from .errors import (
     DimensionTooLarge,
     IncompleteTable,
@@ -207,8 +206,8 @@ def project_theta(theta: np.ndarray, n_actions: int,
 class BsgdConfig:
     """Knobs of the biased-SGD loop.
 
-    The step size is `gamma` when given, otherwise `gamma_scale / sqrt(T)`
-    held constant over the run.
+    The step size is `gamma` when given, otherwise 0.5 / sqrt(T), held
+    constant over the run either way.
     """
 
     iterations: int
@@ -217,7 +216,6 @@ class BsgdConfig:
     epsilon_x: float
     seed: int
     gamma: float | None = None
-    gamma_scale: float = 0.5
     lambda0: float = 0.0
 
     def __post_init__(self):
@@ -229,8 +227,6 @@ class BsgdConfig:
             raise InvalidConfig("epsilon_x must be non-negative")
         if self.gamma is not None and not self.gamma > 0:
             raise InvalidConfig("gamma must be positive")
-        if not self.gamma_scale > 0:
-            raise InvalidConfig("gamma_scale must be positive")
         if self.lambda0 < 0:
             raise InvalidConfig("lambda0 must be non-negative")
 
@@ -238,7 +234,7 @@ class BsgdConfig:
     def step_size(self) -> float:
         if self.gamma is not None:
             return self.gamma
-        return self.gamma_scale / math.sqrt(self.iterations)
+        return 0.5 / math.sqrt(self.iterations)
 
 
 @dataclass(frozen=True)
@@ -402,11 +398,9 @@ def exact_opl(table: RobustCostTable, context_dist: DiscreteDistribution,
     parameterization (points whose group probabilities sum above one are
     dropped) and on [-5, 5] for logits. Every grid point is scored with the
     same robust evaluation used by :func:`drobandit.ope.evaluate_policy`, in
-    chunks that each make one batched dual call on the shared costs, so no
-    (points x N) array is held at once. A chunk holds max(1,
-    `duals._BLOCK_CELLS` // cells) points: cells = N^2 for the dense N x N
-    matrix, N x (largest level count) on a Cartesian-grid support, whose
-    duals run axis by axis, and N for the KL method, which builds no costs.
+    chunks of max(1, `duals._BLOCK_CELLS` // N) points over N contexts, so no
+    chunk's (points x N) costs exceed that many cells. Each chunk makes one
+    batched dual call on the shared costs, which blocks its problems itself.
     Ties keep the earliest grid point in `np.ndindex` order. Only parameter
     dimensions up to three are accepted -- the grid is a certification tool,
     not a scalable learner.
@@ -431,8 +425,7 @@ def exact_opl(table: RobustCostTable, context_dist: DiscreteDistribution,
 
     slots = _slots(grouping, n_actions)
     cmat = _shared_costs(context_dist.support.points, method)
-    step = max(1, _BLOCK_CELLS // (len(context_dist.support) if cmat is None
-                                   else problem_cells(cmat)))
+    step = max(1, _BLOCK_CELLS // len(context_dist.support))
     values = []
     for start in range(0, len(thetas), step):
         costs = _policy_costs(thetas[start : start + step], slots, table.m_hat,

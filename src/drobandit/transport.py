@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .distributions import DiscreteDistribution, SupportSet, _as_points
+from .distributions import DiscreteDistribution, SupportSet, _as_points, unique_rows
 from .errors import (
     DegenerateInput,
     InstanceTooLarge,
@@ -223,23 +223,22 @@ def split_radius_estimate(contexts, seed: int) -> float:
     The samples are shuffled with the given seed and split evenly (odd counts
     put the extra sample in the first half); both halves become empirical
     distributions over the union of observed points, counted by one
-    :func:`numpy.unique`, of the column on the line (``axis=0`` sorts rows as
-    records, doubling the radius's time), where no plan is formed either;
-    near-equal or non-finite points raise ValueError. The distance is finite
-    across differing supports, unlike a KL radius once the halves' points differ.
+    :func:`~drobandit.distributions.unique_rows`; on the line no plan is
+    formed. Near-equal or non-finite points raise ValueError. The distance
+    is finite across differing supports, unlike a KL radius once the halves'
+    points differ.
     """
     pts = _as_points(contexts)
     if len(pts) < 4:
         raise TooFewSamples(f"need at least 4 samples, got {len(pts)}")
     order = np.random.default_rng(seed).permutation(len(pts))
     cut = (len(pts) + 1) // 2
-    union, inverse = (np.unique(pts[:, 0], return_inverse=True) if pts.shape[1] == 1
-                      else np.unique(pts, axis=0, return_inverse=True))
+    union, inverse = unique_rows(pts)
     support = SupportSet(union)
-    inverse = inverse.ravel()[order]  # the shape with axis=0 varies across numpy 2.0.x
+    inverse = inverse[order]
     first, second = (np.bincount(half, minlength=len(union)) / len(half)
                      for half in (inverse[:cut], inverse[cut:]))
     if support.dim == 1:
-        return _monotone_coupling(union, first, union, second)[0]
+        return _monotone_coupling(union[:, 0], first, union[:, 0], second)[0]
     return wasserstein_distance(DiscreteDistribution(support, first),
                                 DiscreteDistribution(support, second))[0]

@@ -10,6 +10,7 @@ from drobandit import cli
 from drobandit.cli import _write_csv, main
 from drobandit.data import load_canonical, save_dataset
 from drobandit.distributions import SupportSet, kl_divergence, make_distribution
+from drobandit.transport import MAX_PAIRWISE_CELLS
 
 SYNTH_SPEC = {
     "context_points": [[0.0], [1.0], [2.0]],
@@ -117,6 +118,25 @@ def test_radius_finite_on_raw_contexts(tmp_path, capsys):
     assert main(["radius", "--data", str(data), "--seed", "4", "--out", str(out)]) == 0
     radius = float(read_rows(out)[0]["radius"])
     assert math.isfinite(radius) and radius >= 0
+
+
+def test_radius_reads_the_observed_contexts_beyond_the_full_support_guard(tmp_path, capsys):
+    # five identity columns of 40 levels: a 40^5 full support, 40 observed points
+    columns = ["c0", "c1", "c2", "c3", "c4"]
+    rows = [[i * m % 40 for m in (1, 3, 7, 9, 11)] for i in range(40)]
+    assert 40 ** 5 > MAX_PAIRWISE_CELLS
+    data, contexts = tmp_path / "wide.csv", tmp_path / "contexts.csv"
+    data.write_text(",".join(columns + ["arm", "cost"]) + "\n" + "".join(
+        ",".join(map(str, r)) + f",{'ab'[r[0] % 2]},{r[1] % 3}\n" for r in rows))
+    contexts.write_text(",".join(columns) + "\n" + "".join(",".join(map(str, r)) + "\n"
+                                                        for r in rows))
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"context_columns": columns, "action_column": "arm",
+                                  "cost_column": "cost"}))
+    assert main(["radius", "--data", str(data), "--config", str(schema), "--seed", "3"]) == 0
+    assert main(["radius", "--data", str(contexts), "--seed", "3"]) == 0
+    from_schema, from_contexts = capsys.readouterr().out.splitlines()
+    assert from_schema == from_contexts and from_schema != "radius=0.0"
 
 
 # -- malformed input -----------------------------------------------------------------

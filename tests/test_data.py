@@ -119,6 +119,30 @@ a,b,treatment,event,death
     assert len(observed.contexts) == 2
 
 
+def test_observed_support_codes_stay_1d_when_unique_returns_a_column(tmp_path, monkeypatch):
+    # numpy 2.0.0 returns np.unique(..., axis=0, return_inverse=True)'s inverse
+    # as an (n, 1) column, which np.bincount refuses
+    data = write_csv(tmp_path / "cross.csv", """
+a,b,treatment,event,death
+0,0,drug,N,N
+1,1,drug,N,N
+1,1,control,Y,N
+""")
+    unique = np.unique
+
+    def column_inverse(ar, *args, **kwargs):
+        out = unique(ar, *args, **kwargs)
+        if kwargs.get("axis") == 0 and kwargs.get("return_inverse"):
+            k = 1 + bool(kwargs.get("return_index"))
+            out = out[:k] + (out[k].reshape(-1, 1),) + out[k + 1:]
+        return out
+
+    monkeypatch.setattr(np, "unique", column_inverse)
+    ds = load_dataset(data, dict(TOY_SCHEMA, context_columns=["a", "b"]), support="observed")
+    assert ds.context_idx.tolist() == [0, 1, 1]
+    assert ds.empirical_context_distribution().weights.tolist() == [1 / 3, 2 / 3]
+
+
 def test_categorical_binning_declares_levels(tmp_path):
     data = write_csv(
         tmp_path / "cat.csv",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drobandit import (
     SupportSet,
@@ -10,6 +12,7 @@ from drobandit import (
     make_distribution,
     total_variation,
 )
+from drobandit.distributions import POINT_MATCH_ATOL, match_indices, unique_rows
 from drobandit.errors import (
     LengthMismatch,
     NegativeWeight,
@@ -52,6 +55,52 @@ def test_make_distribution_length_mismatch():
 def test_support_points_must_be_distinct():
     with pytest.raises(ValueError):
         SupportSet.from_scalars([1.0, 1.0])
+
+
+def test_support_rejects_near_points_that_do_not_sort_side_by_side():
+    # (2e-13, 7) sorts between (0, 1) and (5e-13, 1), which agree to 1e-12
+    with pytest.raises(ValueError, match="distinct"):
+        SupportSet([[0, 1], [2e-13, 7], [5e-13, 1]])
+    support = SupportSet([[0, 1], [2e-13, 7], [5e-12, 1]])
+    assert match_indices([[5e-12, 1]], support).tolist() == [2]
+
+
+# a few base values, each shifted by offsets that fall within the tolerance
+# of some others and chain past it: near pairs, and runs of points that are
+# near only step by step
+OFFSETS = st.sampled_from([0.0, 2e-13, -5e-13, 9e-13, 1.5e-12, 2.4e-12, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), n=st.integers(1, 10))
+def test_support_rejects_exactly_the_near_pairs(data, dim, n):
+    base = np.array(data.draw(st.lists(st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=dim,
+                                                max_size=dim), min_size=n, max_size=n)))
+    shift = np.array(data.draw(st.lists(st.lists(OFFSETS, min_size=dim, max_size=dim),
+                                        min_size=n, max_size=n)))
+    pts = base + shift
+    near = any(np.all(np.abs(pts[i] - pts[j]) <= POINT_MATCH_ATOL)
+               for i in range(n) for j in range(i))
+    if near:
+        with pytest.raises(ValueError, match="distinct"):
+            SupportSet(pts)
+    else:
+        assert match_indices(pts, SupportSet(pts)).tolist() == list(range(n))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_unique_rows_matches_np_unique_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    pts = rng.choice([-1.5, -0.0, 0.0, 0.1, 2.0, 7.25], size=(200, dim))
+    union, inverse = unique_rows(pts)
+    rows, rows_inverse = np.unique(pts, axis=0, return_inverse=True)
+    assert inverse.shape == (200,) and union.shape == rows.shape
+    assert np.array_equal(union, rows) and np.array_equal(inverse, rows_inverse.ravel())
+    if dim == 1:
+        column, column_inverse = np.unique(pts[:, 0], return_inverse=True)
+        assert np.array_equal(union[:, 0], column) and np.array_equal(inverse, column_inverse)
+    # the composition `distance --kl` replaced: match each row onto the union
+    assert np.array_equal(inverse, match_indices(pts, SupportSet(union)))
 
 
 def test_empirical_even_split():

@@ -61,19 +61,22 @@ def test_grid_objective_matches_dense(levels, data, epsilon, eta):
     lam = hi * np.array(data.draw(st.lists(st.sampled_from([0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0]),
                                            min_size=p, max_size=p), label="at"))
     fd, (low, high), hd = transport_dual_reference(w, values, cmat[atoms], lam, epsilon, eta)
-    fg, gg, hg = _grid_objective(w, np.flatnonzero(atoms), values, grid, epsilon, eta,
-                                 p)(np.arange(p), lam)
     scale = epsilon * lam + np.abs(values).max(axis=1) + 1.0
-    np.testing.assert_allclose(fg, fd, rtol=0, atol=1e-12 * scale.max())
     mean_cost = epsilon - low  # sum_i w_i E[c]: the scale of slope and curvature
-    if eta is None:
-        margin = 1e-12 * (epsilon + mean_cost)
-        assert np.all(low - margin <= gg) and np.all(gg <= high + margin)
-        assert np.all(hg == 0.0)
-    else:
-        np.testing.assert_allclose(gg, high, rtol=0, atol=1e-9 * (epsilon + mean_cost).max())
-        second = eta * w @ cmat[atoms].max(axis=1) ** 2
-        np.testing.assert_allclose(hg, hd, rtol=1e-9, atol=1e-12 * second.max())
+    # the per-axis stages, and the dense matrix as one stage
+    for cost in (grid, cmat):
+        fg, gg, hg = _grid_objective(w, np.flatnonzero(atoms), values, cost, epsilon, eta,
+                                     p)(np.arange(p), lam)
+        np.testing.assert_allclose(fg, fd, rtol=0, atol=1e-12 * scale.max())
+        if eta is None:
+            margin = 1e-12 * (epsilon + mean_cost)
+            assert np.all(low - margin <= gg) and np.all(gg <= high + margin)
+            assert np.all(hg == 0.0)
+        else:
+            np.testing.assert_allclose(gg, high, rtol=0,
+                                       atol=1e-9 * (epsilon + mean_cost).max())
+            second = eta * w @ cmat[atoms].max(axis=1) ** 2
+            np.testing.assert_allclose(hg, hd, rtol=1e-9, atol=1e-12 * second.max())
 
 
 @settings(max_examples=150, deadline=None)

@@ -252,6 +252,19 @@ def test_bsgd_deterministic_given_seed():
     assert np.array_equal(first[2].objective, second[2].objective)
 
 
+def test_bsgd_default_step_is_the_constant_gamma_it_equals():
+    # 0.5 / sqrt(T) is one constant step, so passing it as gamma changes no bit
+    support, table, context_dist, policy0 = convex_fixture()
+    runs = [bsgd_learn(table, context_dist, support,
+                       BsgdConfig(iterations=300, inner_batch=8, eta=5.0, epsilon_x=0.2,
+                                  seed=11, **gamma), policy0)
+            for gamma in ({}, {"gamma": 0.5 / math.sqrt(300)})]
+    (params, lam, trace), (params_g, lam_g, trace_g) = runs
+    assert np.array_equal(params.theta, params_g.theta) and lam == lam_g
+    for name in ("theta", "lam", "context_index", "objective"):
+        assert np.array_equal(getattr(trace, name), getattr(trace_g, name))
+
+
 def test_bsgd_config_validation():
     with pytest.raises(InvalidConfig):
         BsgdConfig(iterations=0, inner_batch=8, eta=5.0, epsilon_x=0.2, seed=0)
@@ -379,8 +392,8 @@ def test_bsgd_runs_above_the_pairwise_limit_in_bounded_memory():
 
 def test_smoothed_objective_computes_no_moments(monkeypatch):
     # 1,083 contexts off any grid: row blocks of the dense cost matrix. The
-    # value needs neither the softmax moments nor the (rows, 2, N) array
-    # that holds c and c^2 for them
+    # value needs neither the softmax moments nor the second buffer that
+    # holds the costs for them
     n = 1083
     rng = np.random.default_rng(43)
     support = SupportSet(rng.random((n, 3)))
@@ -480,8 +493,8 @@ def reference_grid(table, context_dist, grouping, kind, epsilon_x, method, eta, 
 
 
 def test_exact_opl_chunks_match_one_solve_per_grid_point(monkeypatch):
-    # chunks of three grid points on the 5 x 5 cost matrix
-    monkeypatch.setattr(opl, "_BLOCK_CELLS", 3 * 25)
+    # chunks of three grid points over 5 contexts
+    monkeypatch.setattr(opl, "_BLOCK_CELLS", 3 * 5)
     rng = np.random.default_rng(53)
     support = SupportSet(rng.normal(size=(5, 2)))
     context_dist = make_distribution(support, [0.4, 0.0, 0.1, 0.3, 0.2])
@@ -504,7 +517,7 @@ def test_exact_opl_tie_across_chunks_keeps_first_grid_point(monkeypatch):
     # context 1 costs zero whatever theta[1]; context 0 is cheapest at the top of
     # theta[0]'s axis, so the last 5 of 25 grid points tie exactly, and chunks of
     # three split them (18-20 | 21-23 | 24)
-    monkeypatch.setattr(opl, "_BLOCK_CELLS", 3 * 4)
+    monkeypatch.setattr(opl, "_BLOCK_CELLS", 3 * 2)
     support = SupportSet.from_scalars([0.0, 1.0])
     table = RobustCostTable(np.array([[0.0, 1.0], [0.0, 0.0]]), method="exact",
                             epsilon_c=0.0)
@@ -516,6 +529,30 @@ def test_exact_opl_tie_across_chunks_keeps_first_grid_point(monkeypatch):
         assert params.theta[1] == theta[1] == (0.0 if kind is CLAMP else -5.0)
         assert np.array_equal(params.theta, theta)
         assert value == ref
+
+
+@pytest.mark.parametrize("support, method", [
+    ("grid", "exact"), ("grid", "regularized"), ("dense", "exact"), ("dense", "regularized"),
+    ("dense", "kl")])
+def test_exact_opl_chunk_size_changes_no_bit(monkeypatch, support, method):
+    # the chunks only bound the (points x N) costs: one point per chunk, two,
+    # or all at once give the same optimum bit for bit
+    rng = np.random.default_rng(59)
+    if support == "grid":
+        points = np.stack([g.ravel() for g in np.meshgrid([0.0, 0.5, 1.5], [0.0, 1.0, 2.0, 2.5],
+                                                          indexing="ij")], axis=1)
+    else:
+        points = rng.normal(size=(12, 2))
+    context_dist = make_distribution(SupportSet(points), rng.dirichlet(np.ones(12)))
+    table = RobustCostTable(rng.random((12, 3)), method="exact", epsilon_c=0.0)
+    eta = 4.0 if method == "regularized" else None
+    results = []
+    for cells in (1, 2 * 12, opl._BLOCK_CELLS):
+        monkeypatch.setattr(opl, "_BLOCK_CELLS", cells)
+        results += [exact_opl(table, context_dist, np.zeros(12, dtype=np.int64), kind, 0.3,
+                              method, eta, 9) for kind in (CLAMP, SOFTMAX)]
+    for (params, value), (params_ref, value_ref) in zip(results, results[-2:] * 3):
+        assert np.array_equal(params.theta, params_ref.theta) and value == value_ref
 
 
 def test_exact_opl_dimension_limit():
