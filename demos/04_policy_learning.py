@@ -28,7 +28,7 @@ CLAMP = Parameterization.GROUP_PROB_CLAMP
 support = SupportSet.from_scalars([0.0, 1.0])
 context_dist = make_distribution(support, [0.5, 0.5])
 # robust per-pair costs: context 0 prefers action 0, context 1 prefers action 1
-table = RobustCostTable(np.array([[0.2, 0.8], [0.9, 0.3]]), method="exact", epsilon_c=0.1)
+table = RobustCostTable(np.array([[0.2, 0.8], [0.9, 0.3]]))
 grouping = np.array([0, 1])  # one free probability per context
 eta, eps_x = 5.0, 0.2
 

@@ -46,7 +46,6 @@ from .opl import (
     bsgd_learn,
     exact_opl,
     policy_probs,
-    robust_policy_cost,
     smoothed_gradients,
     smoothed_learning_objective,
 )
@@ -54,7 +53,6 @@ from .data import (
     BanditDataset,
     ColumnBinning,
     ContextExtension,
-    GroundTruth,
     ShiftSpec,
     SyntheticConfig,
     load_canonical,

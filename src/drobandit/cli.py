@@ -234,9 +234,8 @@ def cmd_ope(args, argv) -> int:
         _write_csv(
             args.out,
             ["method", "epsilon_x", "epsilon_c", "eta", "value", "lambda_star"],
-            [[args.method, eps_x, eps_c,
-              args.eta if args.eta is not None else "", solution.value,
-              solution.lambda_star]],
+            [[args.method, eps_x, eps_c, args.eta if args.method == "regularized" else "",
+              solution.value, solution.lambda_star]],
         )
         outputs.append(args.out)
     if args.table_out:
@@ -281,6 +280,7 @@ def cmd_opl(args, argv) -> int:
     dim = (int(grouping.max()) + 1) * (n_actions - 1)
 
     outputs = []
+    eta_used = args.eta if args.method == "regularized" else ""  # the summary's eta
     if args.algo == "grid":
         params, value = exact_opl(
             table, context_dist, grouping, parameterization, eps_x,
@@ -288,10 +288,10 @@ def cmd_opl(args, argv) -> int:
         )
         lam = float("nan")
     else:
-        eta = args.eta if args.eta is not None else 10.0
+        eta = eta_used = args.eta if args.eta is not None else 10.0
         config = BsgdConfig(
             iterations=args.iterations, inner_batch=args.batch, eta=eta,
-            epsilon_x=eps_x, seed=args.seed, gamma=args.gamma, lambda0=args.lambda0,
+            epsilon_x=eps_x, seed=args.seed, gamma=args.gamma,
         )
         if args.theta0:
             start_theta = np.asarray([float(v) for v in args.theta0.split(",")], dtype=np.float64)
@@ -317,8 +317,7 @@ def cmd_opl(args, argv) -> int:
     if args.out:
         header = (["algo", "method", "epsilon_x", "epsilon_c", "eta", "value", "lambda"]
                   + [f"theta_{i}" for i in range(dim)])
-        row = [args.algo, args.method, eps_x, eps_c,
-               args.eta if args.eta is not None else "", value, lam, *params.theta]
+        row = [args.algo, args.method, eps_x, eps_c, eta_used, value, lam, *params.theta]
         _write_csv(args.out, header, [row])
         outputs.append(args.out)
     _write_manifest(args, argv, inputs, outputs, wall)
@@ -378,8 +377,7 @@ def cmd_rate(args, argv) -> int:
     n_grid = [int(v) for v in args.n_grid.split(",")]
     result = rate_experiment(
         config, n_grid, trials=args.trials, seed=args.seed,
-        epsilon_x=args.epsilon_x, epsilon_c=args.epsilon_c,
-        method="exact", tol=args.tol,
+        epsilon_x=args.epsilon_x, epsilon_c=args.epsilon_c, tol=args.tol,
     )
     for n, med in result.rows:
         print(f"n={n} median_abs_error={_fmt(med)}")
@@ -420,8 +418,8 @@ def cmd_rerun(args, argv) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
-def _add_common(parser, seed_default=0):
-    parser.add_argument("--seed", type=int, default=seed_default)
+def _add_common(parser):
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="output CSV path")
     parser.add_argument("--manifest-out", default=None,
                         help="manifest path (default: <out>.manifest.json)")
@@ -484,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=64)
     p.add_argument("--gamma", type=float, default=None,
                    help="constant step size (default 0.5 / sqrt(iterations))")
-    p.add_argument("--lambda0", type=float, default=0.0)
     p.add_argument("--theta0", default=None, help="comma-separated initial parameters")
     p.add_argument("--resolution", type=int, default=101, help="grid points per dimension")
     p.add_argument("--trace-out", default=None, help="write the per-iteration trace CSV")

@@ -128,14 +128,14 @@ def run_comparison(spec: ComparisonSpec, multipliers, include_outlier: bool,
     return rows
 
 
-def value_deltas(rows: list[dict], multiplier: float = 1.0) -> dict:
-    """Outlier-minus-base value change per method at one multiplier."""
+def value_deltas(rows: list[dict]) -> dict:
+    """Outlier-minus-base value change per method at multiplier 1."""
     deltas = {}
     for method in ("wasserstein", "kl"):
         pair = {
             row["scenario"]: row["value"]
             for row in rows
-            if row["method"] == method and row["multiplier"] == multiplier
+            if row["method"] == method and row["multiplier"] == 1.0
         }
         if {"base", "outlier"} <= pair.keys():
             deltas[method] = pair["outlier"] - pair["base"]

@@ -64,7 +64,7 @@ class BanditDataset:
     actions: tuple
     xi_support: SupportSet
     y_max: float
-    diagnostics: DatasetDiagnostics = field(default=None)
+    diagnostics: DatasetDiagnostics = field(init=False)
 
     def __post_init__(self):
         for name in ("context_idx", "action_idx", "xi_idx"):
@@ -88,13 +88,8 @@ class BanditDataset:
             raise ValidationError("record indices outside the declared supports")
         if np.any(costs < -1e-12) or np.any(costs > self.y_max + 1e-12):
             raise ValidationError(f"costs must lie in [0, {self.y_max}]")
-        if self.diagnostics is None:
-            object.__setattr__(
-                self,
-                "diagnostics",
-                compute_diagnostics(self.context_idx, self.action_idx,
-                                    len(self.contexts), len(self.actions)),
-            )
+        object.__setattr__(self, "diagnostics", compute_diagnostics(
+            self.context_idx, self.action_idx, len(self.contexts), len(self.actions)))
 
     @property
     def n(self) -> int:
@@ -538,14 +533,6 @@ class SyntheticConfig:
             raise ValidationError("shift_target must be 'train' or 'test'")
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    context_dist: DiscreteDistribution
-    xi_dists: tuple
-    behavior_policy: Policy
-    cost_model: CostModel
-
-
 def _reweight(dist: DiscreteDistribution, scale: dict) -> DiscreteDistribution:
     w = dist.weights.copy()
     for idx, factor in scale.items():
@@ -725,8 +712,8 @@ def synth_generate(config: SyntheticConfig):
     """Generate a (train, test, truth) triple, deterministic in the seed.
 
     The shift is injected into the side named by `shift_target`; the other
-    side is drawn from the true distributions. `truth` carries those true
-    distributions so exact policy values remain computable.
+    side is drawn from the true distributions. `truth` is `config` itself,
+    whose true distributions keep exact policy values computable.
     """
     shifted = apply_shift(config)
     true_side = (config.context_dist, config.xi_dists, config.behavior_policy,
@@ -739,6 +726,4 @@ def synth_generate(config: SyntheticConfig):
     else:
         train = sample_dataset(*true_side, config.n, rng)
         test = sample_dataset(*shifted, config.n, rng)
-    truth = GroundTruth(config.context_dist, config.xi_dists,
-                        config.behavior_policy, config.cost_model)
-    return train, test, truth
+    return train, test, config

@@ -16,6 +16,7 @@ from .errors import (
     NotNormalizable,
     SampleOffSupport,
     SupportMismatch,
+    ValidationError,
 )
 
 # Two support points are "the same" iff every coordinate agrees to this
@@ -32,7 +33,7 @@ def _as_points(points) -> np.ndarray:
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
-        raise ValueError(f"support points must be a (n, dim) array, got shape {arr.shape}")
+        raise ValidationError(f"support points must be a (n, dim) array, got shape {arr.shape}")
     return arr
 
 
@@ -64,15 +65,18 @@ def _has_near_pair(pts: np.ndarray) -> bool:
 
 def unique_rows(points):
     """The distinct rows of a (n, d) array in lexicographic order, and each
-    row's index among them: ``np.unique(points, axis=0, return_inverse=True)``,
-    with the inverse always 1-d (its shape varies across numpy 2.0.x). A single
-    column takes the faster 1-d ``np.unique`` (``axis=0`` sorts rows as
-    records) and comes back as an (m, 1) array all the same."""
-    if points.shape[1] == 1:
-        union, inverse = np.unique(points[:, 0], return_inverse=True)
-        return union[:, None], inverse.ravel()
-    union, inverse = np.unique(points, axis=0, return_inverse=True)
-    return union, inverse.ravel()
+    row's index among them, as ``np.unique(points, axis=0, return_inverse=True)``
+    but with a 1-d inverse and no sort of rows as records: a 1-d ``np.unique``
+    codes each column, another folds it into the codes so far (code * levels +
+    next code, below n^2). Of 0.0 and -0.0 the union may keep the other sign."""
+    union, inverse = np.unique(points[:, 0], return_inverse=True)
+    union, inverse = union[:, None], inverse.ravel()
+    for column in points.T[1:]:
+        levels, code = np.unique(column, return_inverse=True)
+        keys, inverse = np.unique(inverse * len(levels) + code.ravel(), return_inverse=True)
+        union = np.column_stack((union[keys // len(levels)], levels[keys % len(levels)]))
+        inverse = inverse.ravel()
+    return union, inverse
 
 
 @dataclass(frozen=True)
@@ -88,9 +92,9 @@ class SupportSet:
         if len(pts) == 0:
             return
         if not np.all(np.isfinite(pts)):
-            raise ValueError("support points must be finite")
+            raise ValidationError("support points must be finite")
         if _has_near_pair(pts):
-            raise ValueError("support points must be pairwise distinct")
+            raise ValidationError("support points must be pairwise distinct")
 
     @classmethod
     def from_scalars(cls, values) -> "SupportSet":
@@ -109,17 +113,6 @@ class SupportSet:
             self.points.shape == other.points.shape
             and bool(np.all(np.abs(self.points - other.points) <= POINT_MATCH_ATOL))
         )
-
-    def index_of(self, point) -> int:
-        """Index of `point` in the support, matched coordinate-wise at 1e-12."""
-        p = np.asarray(point, dtype=np.float64).reshape(-1)
-        if p.shape[0] != self.dim:
-            raise SampleOffSupport(f"point has {p.shape[0]} coordinates, support has dim {self.dim}")
-        hit = np.all(np.abs(self.points - p[None, :]) <= POINT_MATCH_ATOL, axis=1)
-        idx = np.flatnonzero(hit)
-        if idx.size == 0:
-            raise SampleOffSupport(f"point {p.tolist()} matches no support point")
-        return int(idx[0])
 
 
 @dataclass(frozen=True)
@@ -145,13 +138,6 @@ class DiscreteDistribution:
             raise NegativeWeight("weights must be non-negative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise NotNormalizable(f"weights sum to {w.sum()!r}, expected 1")
-
-    def expectation(self, values) -> float:
-        """E[values] under this distribution; `values` indexed like the support."""
-        v = np.asarray(values, dtype=np.float64)
-        if v.shape[0] != len(self.support):
-            raise LengthMismatch("values must be indexed like the support")
-        return float(self.weights @ v)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from .errors import (
     NegativeLambda,
     NonPositiveEta,
     NumericalError,
+    ValidationError,
 )
 # perfbench/spans.py's tracer wraps duals.solve_max_lp, so the name stays here
 from .transport import GridCost, GroundCost, solve_max_lp  # noqa: F401
@@ -74,7 +75,7 @@ class CostVector:
                 f"{v.size} cost values for {len(self.support)} support points"
             )
         if not np.all(np.isfinite(v)):
-            raise ValueError("cost values must be finite")
+            raise ValidationError("cost values must be finite")
 
     @property
     def f_max(self) -> float:
@@ -449,7 +450,7 @@ def transport_objective(lam, weights, values, cost, epsilon, eta=None) -> float:
 
 
 def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
-                          eta=None, plugin=None) -> DualBatch:
+                          eta=None) -> DualBatch:
     """Transport-ball duals of P problems that share one cost matrix.
 
     Row p of `weights` (P, atoms) and `values` (P, candidates) is a problem;
@@ -460,17 +461,19 @@ def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
     at most `_BLOCK_CELLS` cells (per problem the matrix's size, or the
     GridCost's `stage_cells`), less their weightless atoms, run in lockstep in
     :func:`convex_minimize`, each problem to a certified gap of at most `tol`,
-    so callers pass any number of problems. `plugin` (epsilon = 0) defaults to
-    row-wise weights . values, right when atoms are the candidates.
+    so callers pass any number of problems.
 
     Every coupling costs at least reach = sum_i w_i min_j c(x_i, zeta_j), 0
     when every atom is a candidate; a radius below it raises
-    :class:`InfeasiblePrimal`. At epsilon = reach > 0 the exact objective is
-    flat past its last breakpoint, at sum_i w_i max{f_j : c(x_i, zeta_j) =
-    min_k c(x_i, zeta_k)}: that minimum is returned with gap 0, flagged via
-    :data:`NON_ROBUST_SHORTCUT`, if every problem is at its reach. The smoothed
-    minimum is not attained there, and a batch partly at its reach has no
-    single flag: both raise :class:`NumericalError`.
+    :class:`InfeasiblePrimal`. So at epsilon = 0 each atom of positive weight
+    sits on a candidate at cost 0: the nominal sum_i w_i f at atom i's first
+    cheapest candidate (itself on a GridCost) is returned with gap 0, flagged
+    via :data:`NON_ROBUST_SHORTCUT`. At epsilon = reach > 0 the exact objective
+    is flat past its last breakpoint, at sum_i w_i max{f_j : c(x_i, zeta_j) =
+    min_k c(x_i, zeta_k)}: that minimum is returned with gap 0, also flagged,
+    if every problem is at its reach. The smoothed minimum is not attained
+    there, and a batch partly at its reach has no single flag: both raise
+    :class:`NumericalError`.
     """
     weights, values = np.asarray(weights, dtype=np.float64), np.asarray(values, dtype=np.float64)
     grid = isinstance(cost_matrix, GridCost)
@@ -481,8 +484,8 @@ def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
     reach = 0.0 if grid else weights @ cost_matrix.min(axis=1)
     _refuse_below_reach(epsilon, reach)
     if epsilon == 0:
-        return _plugin_batch(np.einsum("pi,pi->p", weights, values) if plugin is None
-                             else plugin, f_max)
+        nearest = values if grid else np.take(values, cost_matrix.argmin(axis=1), axis=1)
+        return _plugin_batch(np.einsum("pi,pi->p", weights, nearest), f_max)
     if np.any(reach == epsilon):
         if eta is None and np.all(reach == epsilon):
             extra = cost_matrix - cost_matrix.min(axis=1, keepdims=True)
@@ -518,10 +521,10 @@ def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
 
 
 def solve_transport_dual(weights, values, cost_matrix, epsilon, tol=None,
-                         eta=None, plugin_value=None) -> DualSolution:
+                         eta=None) -> DualSolution:
     """Transport-ball dual of one problem: see :func:`solve_transport_duals`."""
     return solve_transport_duals(np.atleast_2d(weights), np.atleast_2d(values), cost_matrix,
-                                 epsilon, tol, eta, plugin_value).solution(0)
+                                 epsilon, tol, eta).solution(0)
 
 
 def solve_kl_duals(weights, values, epsilon, tol=None) -> DualBatch:
@@ -591,10 +594,7 @@ def wasserstein_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: flo
     the exact dual) with safeguarded Newton steps.
     """
     cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p0.support.points, f.support.points)
-    # at epsilon = 0 every atom of positive weight must sit on a candidate at
-    # cost 0, its own point, or the solver refuses the radius
-    plugin = float(p0.weights @ f.values[cmat.argmin(axis=1)]) if epsilon == 0 else None
-    return solve_transport_dual(p0.weights, f.values, cmat, epsilon, tol, eta, plugin)
+    return solve_transport_dual(p0.weights, f.values, cmat, epsilon, tol, eta)
 
 
 def kl_dual_solve(p0: DiscreteDistribution, f: CostVector, epsilon: float,

@@ -102,12 +102,13 @@ class CostModel:
 
 @dataclass(frozen=True)
 class RobustCostTable:
-    """Per-(context, action) robust expected costs."""
+    """Per-(context, action) robust expected costs. `method` and `epsilon_c`
+    are labels that nothing here sets or reads; perfbench/scaling.py still
+    passes them."""
 
     m_hat: np.ndarray
-    method: str
-    epsilon_c: float
-    eta: float | None = None
+    method: str | None = None
+    epsilon_c: float | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.m_hat, dtype=np.float64)
@@ -203,7 +204,7 @@ def robust_cost_table(dataset, cost_model: CostModel, epsilon_c: float,
         counts[logged] / pair_totals[logged][:, None], cost_model.y[logged],
         _shared_costs(cost_model.xi_support.points, method), epsilon_c, method, eta,
         tol).value
-    return RobustCostTable(m_hat, method=method, epsilon_c=epsilon_c, eta=eta)
+    return RobustCostTable(m_hat)
 
 
 def policy_cost_per_context(policy: Policy, table: RobustCostTable) -> np.ndarray:
@@ -244,12 +245,10 @@ class RateResult:
     slope: float
 
 
-def rate_experiment(config, n_grid, trials: int, seed: int,
-                    policy: Policy | None = None,
-                    epsilon_x: float = 0.1, epsilon_c: float = 0.1,
-                    method: str = "exact", eta: float | None = None,
-                    tol: float | None = None) -> RateResult:
-    """Monte-Carlo convergence check of the estimated policy value.
+def rate_experiment(config, n_grid, trials: int, seed: int, epsilon_x: float = 0.1,
+                    epsilon_c: float = 0.1, tol: float | None = None) -> RateResult:
+    """Monte-Carlo convergence check of the uniform policy's estimated value,
+    both robust steps by the exact transport dual.
 
     The reference value is computed once by running both robust steps on the
     generator's true distributions; each trial then redraws a dataset of the
@@ -264,13 +263,9 @@ def rate_experiment(config, n_grid, trials: int, seed: int,
     n_grid = [int(n) for n in n_grid]
     if trials <= 0 or not n_grid:
         raise EmptyExperiment("need at least one sample size and one trial")
-    if policy is None:
-        policy = Policy.uniform(len(config.context_dist.support), len(config.xi_dists[0]))
-
-    true_table = true_robust_table(config, epsilon_c, method, eta, tol)
-    v_true = evaluate_policy(
-        policy, true_table, config.context_dist, epsilon_x, method, eta, tol
-    ).value
+    policy = Policy.uniform(len(config.context_dist.support), len(config.xi_dists[0]))
+    true_table = true_robust_table(config, epsilon_c, tol)
+    v_true = evaluate_policy(policy, true_table, config.context_dist, epsilon_x, tol=tol).value
 
     rng = np.random.default_rng(seed)
     rows = []
@@ -282,12 +277,10 @@ def rate_experiment(config, n_grid, trials: int, seed: int,
                 config.context_dist, config.xi_dists, config.behavior_policy,
                 config.cost_model, n, rng,
             )
-            table = robust_cost_table(
-                ds, config.cost_model, epsilon_c, method, eta, tol,
-                impute_missing_ymax=True,
-            )
+            table = robust_cost_table(ds, config.cost_model, epsilon_c, tol=tol,
+                                      impute_missing_ymax=True)
             v_hat = evaluate_policy(policy, table, ds.empirical_context_distribution(),
-                                    epsilon_x, method, eta, tol).value
+                                    epsilon_x, tol=tol).value
             errs[t] = abs(v_hat - v_true)
         med = float(np.median(errs))
         rows.append((n, med))
@@ -297,16 +290,16 @@ def rate_experiment(config, n_grid, trials: int, seed: int,
     return RateResult(rows=tuple(rows), slope=slope)
 
 
-def true_robust_table(config, epsilon_c: float, method: str = "exact",
-                      eta: float | None = None, tol: float | None = None) -> RobustCostTable:
-    """Robust cost table computed from a generator's true xi distributions."""
+def true_robust_table(config, epsilon_c: float, tol: float | None = None) -> RobustCostTable:
+    """Robust cost table computed from a generator's true xi distributions, by
+    the exact transport dual."""
     n_x, n_a = len(config.context_dist.support), len(config.xi_dists[0])
     dists = [dist for row in config.xi_dists for dist in row]
     if not all(dist.support.matches(config.cost_model.xi_support) for dist in dists):
         raise ValidationError("xi distributions must live on the cost model support")
     m_hat = solve_shared_support(
         np.array([dist.weights for dist in dists]), config.cost_model.y.reshape(n_x * n_a, -1),
-        _shared_costs(config.cost_model.xi_support.points, method), epsilon_c, method,
-        eta, tol,
+        _shared_costs(config.cost_model.xi_support.points, "exact"), epsilon_c, "exact",
+        tol=tol,
     ).value.reshape(n_x, n_a)
-    return RobustCostTable(m_hat, method=method, epsilon_c=epsilon_c, eta=eta)
+    return RobustCostTable(m_hat)

@@ -135,8 +135,9 @@ def _policy_rows(theta: np.ndarray, slots: np.ndarray, m: np.ndarray,
     return costs, grads
 
 
-def _check_context(params: PolicyParams, context_index: int):
-    if not 0 <= context_index < len(params.grouping):
+def _check_context(params: PolicyParams, context_index):
+    """Refuse any context index (an int or an array of them) outside [0, N)."""
+    if np.any((context_index < 0) | (context_index >= len(params.grouping))):
         raise UnknownContext(f"context index {context_index} outside the grouping map")
 
 
@@ -162,24 +163,17 @@ def policy_costs_and_grads(params: PolicyParams, table: RobustCostTable,
 
     Returns (costs, grads) with grads of shape (len(contexts), dim(theta));
     entries outside a context's group are zero. Only the requested contexts
-    are computed.
+    are computed; an index outside [0, N) raises :class:`UnknownContext`.
     """
     _check_table(params, table)
     if context_indices is None:
         groups, m = params.grouping, table.m_hat
     else:
         ctx = np.asarray(context_indices, dtype=np.int64)
+        _check_context(params, ctx)
         groups, m = params.grouping[ctx], table.m_hat[ctx]
     return _policy_rows(params.theta, _slots(groups, params.n_actions), m,
                         params.parameterization)
-
-
-def robust_policy_cost(params: PolicyParams, table: RobustCostTable,
-                       context_index: int):
-    """Expected robust cost of the policy at one context, with its gradient."""
-    _check_context(params, context_index)
-    costs, grads = policy_costs_and_grads(params, table, np.array([context_index]))
-    return float(costs[0]), grads[0]
 
 
 def project_theta(theta: np.ndarray, n_actions: int,
@@ -216,7 +210,6 @@ class BsgdConfig:
     epsilon_x: float
     seed: int
     gamma: float | None = None
-    lambda0: float = 0.0
 
     def __post_init__(self):
         if self.iterations < 1 or self.inner_batch < 1:
@@ -227,8 +220,6 @@ class BsgdConfig:
             raise InvalidConfig("epsilon_x must be non-negative")
         if self.gamma is not None and not self.gamma > 0:
             raise InvalidConfig("gamma must be positive")
-        if self.lambda0 < 0:
-            raise InvalidConfig("lambda0 must be non-negative")
 
     @property
     def step_size(self) -> float:
@@ -294,8 +285,8 @@ def bsgd_learn(table: RobustCostTable, context_dist: DiscreteDistribution,
     then `inner_batch` candidate contexts uniformly with replacement from the
     support (in that order, from a single generator seeded by the config, so
     runs are reproducible bit for bit). Theta follows the projected gradient
-    step of its parameterization; the dual variable is clamped to
-    [0, y_max / epsilon_x]. That cap bounds the minimizer of the exact dual
+    step of its parameterization; the dual variable starts at 0 and is
+    clamped to [0, y_max / epsilon_x]. That cap bounds the minimizer of the exact dual
     only: the smoothed dual this loop descends can have its minimizer up to
     (y_max + log(N)/eta) / epsilon_x over N contexts (the bracket of
     :func:`~drobandit.duals.solve_transport_duals`), so the cap may clamp
@@ -314,7 +305,7 @@ def bsgd_learn(table: RobustCostTable, context_dist: DiscreteDistribution,
         raise InvalidConfig("support, context distribution and table must agree in size")
     k, kind = policy0.n_actions, policy0.parameterization
     theta = project_theta(policy0.theta, k, kind)
-    lam = float(config.lambda0)
+    lam = 0.0
     y_max = float(table.m_hat.max())
     cap = y_max / config.epsilon_x if config.epsilon_x > 0 else math.inf
 

@@ -145,7 +145,7 @@ def test_criterion_06_gradient_fidelity():
     worst = 0.0
     for trial in range(100):
         kind = CLAMP if trial % 2 == 0 else SOFTMAX
-        table = RobustCostTable(rng.random((5, 2)), method="exact", epsilon_c=0.0)
+        table = RobustCostTable(rng.random((5, 2)))
         theta = (rng.random(2) * 0.8 + 0.1) if kind is CLAMP else rng.normal(size=2)
         lam = float(rng.random() * 2.0 + 0.05)
         params = PolicyParams(theta, grouping, 2, kind)
@@ -176,8 +176,7 @@ def test_criterion_06_gradient_fidelity():
 
 def _convex_fixture():
     support = SupportSet.from_scalars([0.0, 1.0])
-    table = RobustCostTable(np.array([[0.2, 0.8], [0.9, 0.3]]),
-                            method="exact", epsilon_c=0.1)
+    table = RobustCostTable(np.array([[0.2, 0.8], [0.9, 0.3]]))
     context_dist = make_distribution(support, [0.5, 0.5])
     policy0 = PolicyParams(np.array([0.5, 0.5]), np.array([0, 1]), 2, CLAMP)
     return support, table, context_dist, policy0

@@ -211,7 +211,35 @@ def test_negative_canonical_index_exits_3(tmp_path, capsys, bad_row):
     assert "outside the declared supports" in capsys.readouterr().err
 
 
+def distance_kl(tmp_path, rows):
+    q = write_dist(tmp_path / "q.csv", [[0.3, 0.5], [1.0, 0.5]])
+    return [*distance(tmp_path, rows)[:-1], q, "--kl"]
+
+
+@pytest.mark.parametrize("command, rows", [
+    (distance, "0.0,0.5"),
+    (distance_kl, "0.30000000000000004,0.5"),
+    (raw_radius, "1.0000000000000002\n2"),
+], ids=["distance-repeated-point", "distance-kl-union-1-ulp-apart", "radius-1-ulp-apart"])
+def test_refused_points_exit_3(tmp_path, capsys, command, rows):
+    assert main(command(tmp_path, rows)) == 3
+    assert "error: support points must be pairwise distinct" in capsys.readouterr().err
+
+
 # -- ope -----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args, eta", [
+    (["ope", "--method", "exact", "--eta", "10"], ""),
+    (["ope", "--method", "regularized", "--eta", "10"], "10.0"),
+    (["opl", "--algo", "grid", "--method", "kl", "--eta", "4", "--resolution", "3"], ""),
+    (["opl", "--algo", "bsgd", "--iterations", "20"], "10.0"),
+], ids=["ope-exact", "ope-regularized", "opl-grid-kl", "opl-bsgd-default"])
+def test_summary_eta_is_the_eta_the_run_used(tmp_path, canonical_data, args, eta):
+    out = tmp_path / "summary.csv"
+    assert main([*args, "--data", str(canonical_data), "--epsilon-x", "0.1",
+                 "--out", str(out)]) == 0
+    assert read_rows(out)[0]["eta"] == eta
+
 
 def test_ope_plugin_control_matches_zero_radii(tmp_path, canonical_data):
     out_a = tmp_path / "plugin.csv"

@@ -29,6 +29,7 @@ from drobandit.data import (
     canonical_rate_config,
     synthetic_config_from_json,
 )
+from drobandit.distributions import match_indices
 from drobandit.errors import EmptyDataset, InvalidShift, SchemaMismatch, UnparsableRow
 
 TOY_SCHEMA = {
@@ -494,8 +495,7 @@ def test_invalid_shift_rejected():
 
 def _lift(dist, union):
     w = np.zeros(len(union))
-    for point, weight in zip(dist.support.points, dist.weights):
-        w[union.index_of(point)] += weight
+    np.add.at(w, match_indices(dist.support.points, union), dist.weights)
     return DiscreteDistribution(union, w)
 
 
@@ -541,4 +541,5 @@ def test_synthetic_config_json_round_trip():
     assert config.shift.context_scale == {0: 0.5}
     train, test, truth = synth_generate(config)
     assert train.n == test.n == 100
+    assert truth is config  # the true, unshifted distributions
     assert truth.cost_model.y_max == 1.0

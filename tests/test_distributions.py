@@ -96,6 +96,9 @@ def test_unique_rows_matches_np_unique_bit_for_bit(dim):
     rows, rows_inverse = np.unique(pts, axis=0, return_inverse=True)
     assert inverse.shape == (200,) and union.shape == rows.shape
     assert np.array_equal(union, rows) and np.array_equal(inverse, rows_inverse.ravel())
+    # bit for bit but for the sign of a zero: -0.0 and 0.0 are one level, kept
+    # with either sign (adding 0.0 turns -0.0 into 0.0)
+    assert np.array_equal((union + 0.0).view(np.int64), (rows + 0.0).view(np.int64))
     if dim == 1:
         column, column_inverse = np.unique(pts[:, 0], return_inverse=True)
         assert np.array_equal(union[:, 0], column) and np.array_equal(inverse, column_inverse)

@@ -32,7 +32,7 @@ from drobandit.errors import (
     NonPositiveEta,
     NumericalError,
 )
-from drobandit.transport import GroundCost
+from drobandit.transport import GridCost, GroundCost, grid_levels
 
 from instances import random_dual_instance
 from oracles import rational_simplex_max
@@ -348,7 +348,7 @@ def _contract_entries():
     p0 = make_distribution(SupportSet(points), np.full(6, 1 / 6))
     f = CostVector(SupportSet(points), rng.random(6))
     cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(points, points)
-    table = RobustCostTable(rng.random((6, 2)), method="exact", epsilon_c=0.1)
+    table = RobustCostTable(rng.random((6, 2)))
     clamp = Parameterization.GROUP_PROB_CLAMP
     params = PolicyParams(np.array([0.5]), np.zeros(6, dtype=np.int64), 2, clamp)
     return {
@@ -577,6 +577,34 @@ def test_epsilon_zero_off_the_support_is_infeasible():
     for solve in (primal_oracle, wasserstein_dual_solve):
         with pytest.raises(InfeasiblePrimal):
             solve(p0, f, 0.0)
+
+
+def test_epsilon_zero_reads_each_atom_at_its_zero_cost_candidate():
+    # two atoms on the first two of three candidates: the weights and values
+    # differ in length, which a row-wise weights . values cannot pair up
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise([[0.0], [1.0]], [[0.0], [1.0], [2.0]])
+    sol = duals.solve_transport_dual([0.5, 0.5], [0.0, 1.0, 3.0], cmat, 0.0)
+    assert sol.value == 0.5 and sol.gap == 0.0 and sol.shortcut == NON_ROBUST_SHORTCUT
+    # atoms listed in another order than their candidates, one weightless and off them
+    cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise([[2.0], [0.0], [5.0]], [[0.0], [1.0], [2.0]])
+    batch = duals.solve_transport_duals([[0.25, 0.75, 0.0], [1.0, 0.0, 0.0]],
+                                        [[1.0, 2.0, 4.0], [8.0, 0.0, 6.0]], cmat, 0.0)
+    assert batch.value.tolist() == [0.25 * 4.0 + 0.75 * 1.0, 6.0]
+
+
+def test_epsilon_zero_on_a_shared_support_is_the_weighted_sum_bit_for_bit():
+    rng = np.random.default_rng(41)
+    points = np.stack(np.meshgrid([0.0, 0.5, 2.0], [1.0, 3.0, 4.0, 7.0], indexing="ij"),
+                      axis=-1).reshape(-1, 2)
+    weights = rng.dirichlet(np.ones(len(points)), size=5)
+    weights[:, :3] = 0.0
+    values = rng.random((5, len(points)))
+    expected = np.einsum("pi,pi->p", weights, values)
+    for cost in (GridCost(grid_levels(points)),
+                 GroundCost.SQUARED_EUCLIDEAN.pairwise(points, points)):
+        for eta in (None, 10.0):
+            batch = duals.solve_transport_duals(weights, values, cost, 0.0, eta=eta)
+            assert np.array_equal(batch.value, expected)
 
 
 def test_primal_coupling_is_a_greedy_vertex():

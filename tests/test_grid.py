@@ -209,7 +209,7 @@ def test_exact_opl_on_a_grid_matches_the_dense_path(monkeypatch, method, eta):
     support, context_dist, rng = grid_instance(3)
     grouping = (support.points[:, 2] > 1.0).astype(np.int64)
     for kind in (CLAMP, SOFTMAX):
-        table = RobustCostTable(rng.random((len(support), 2)), method="exact", epsilon_c=0.0)
+        table = RobustCostTable(rng.random((len(support), 2)))
         args = (table, context_dist, grouping, kind, 0.7, method, eta, 9)
         params, value = exact_opl(*args)
         with monkeypatch.context() as patch:
@@ -221,7 +221,7 @@ def test_exact_opl_on_a_grid_matches_the_dense_path(monkeypatch, method, eta):
 
 def test_smoothed_learning_objective_on_a_grid_matches_the_dense_path(monkeypatch):
     support, context_dist, rng = grid_instance(5)
-    table = RobustCostTable(rng.random((len(support), 3)), method="exact", epsilon_c=0.0)
+    table = RobustCostTable(rng.random((len(support), 3)))
     params = opl.PolicyParams(np.array([0.2, 0.5]), np.zeros(len(support), dtype=np.int64),
                               3, CLAMP)
     for lam in (0.0, 0.3, 5.0, 400.0):

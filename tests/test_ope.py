@@ -165,7 +165,7 @@ def test_batched_table_matches_per_pair_solves(seed, method, epsilon, small_bloc
 # -- policy evaluation -------------------------------------------------------------
 
 def test_evaluate_single_context_support():
-    table = RobustCostTable(np.array([[0.2, 0.8]]), method="exact", epsilon_c=0.1)
+    table = RobustCostTable(np.array([[0.2, 0.8]]))
     context_dist = make_distribution(SupportSet.from_scalars([0.0]), [1.0])
     policy = Policy(np.array([[0.25, 0.75]]))
     expected = 0.25 * 0.2 + 0.75 * 0.8
@@ -202,7 +202,7 @@ def test_evaluate_all_zero_radii_is_plugin():
 def test_evaluate_derived_two_context_instance():
     # per-context costs (0, 1) over uniform contexts reduces to the dual
     # solver's 0.75 instance
-    table = RobustCostTable(np.array([[0.0], [1.0]]), method="exact", epsilon_c=0.0)
+    table = RobustCostTable(np.array([[0.0], [1.0]]))
     context_dist = make_distribution(SupportSet.from_scalars([0.0, 1.0]), [0.5, 0.5])
     policy = Policy(np.array([[1.0], [1.0]]))
     sol = evaluate_policy(policy, table, context_dist, 0.25)
@@ -210,7 +210,7 @@ def test_evaluate_derived_two_context_instance():
 
 
 def test_evaluate_policy_shape_mismatch():
-    table = RobustCostTable(np.array([[0.2, 0.8]]), method="exact", epsilon_c=0.1)
+    table = RobustCostTable(np.array([[0.2, 0.8]]))
     context_dist = make_distribution(SupportSet.from_scalars([0.0]), [1.0])
     with pytest.raises(PolicyContextMismatch):
         evaluate_policy(Policy.uniform(2, 2), table, context_dist, 0.1)
@@ -257,7 +257,7 @@ def test_pointwise_dominant_policy_is_costlier():
     rng = np.random.default_rng(19)
     for _ in range(20):
         m_hat = rng.random((3, 3))
-        table = RobustCostTable(m_hat, method="exact", epsilon_c=0.1)
+        table = RobustCostTable(m_hat)
         worst = np.eye(3)[m_hat.argmax(axis=1)]
         best = np.eye(3)[m_hat.argmin(axis=1)]
         context_dist = uniform_distribution(SupportSet.from_scalars([0.0, 1.0, 2.0]))

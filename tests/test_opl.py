@@ -17,7 +17,6 @@ from drobandit import (
     make_distribution,
     policy_probs,
     robust_cost_table,
-    robust_policy_cost,
     smoothed_gradients,
     smoothed_learning_objective,
     synth_generate,
@@ -37,9 +36,8 @@ CLAMP = Parameterization.GROUP_PROB_CLAMP
 SOFTMAX = Parameterization.GROUP_SOFTMAX
 
 
-def two_context_table(m_hat=((0.2, 0.8), (0.9, 0.3)), epsilon_c=0.1):
-    return RobustCostTable(np.asarray(m_hat, dtype=float), method="exact",
-                           epsilon_c=epsilon_c)
+def two_context_table(m_hat=((0.2, 0.8), (0.9, 0.3))):
+    return RobustCostTable(np.asarray(m_hat, dtype=float))
 
 
 # -- parameterizations -----------------------------------------------------------
@@ -74,23 +72,26 @@ def test_unknown_context_rejected():
     params = PolicyParams(np.array([0.5]), np.array([0]), 2, CLAMP)
     with pytest.raises(UnknownContext):
         policy_probs(params, 5)
+    table = RobustCostTable(np.array([[0.2, 0.8]]))
+    for ctx in ([-1], [1], [0, 1]):  # -1 would read the last row, N numpy refuses
+        with pytest.raises(UnknownContext):
+            policy_costs_and_grads(params, table, ctx)
 
 
 # -- per-context cost and gradient ------------------------------------------------
 
 def test_cost_flat_table_has_zero_gradient():
-    table = RobustCostTable(np.full((2, 2), 0.6), method="exact", epsilon_c=0.0)
+    table = RobustCostTable(np.full((2, 2), 0.6))
     params = PolicyParams(np.array([0.3, 0.7]), np.array([0, 1]), 2, CLAMP)
-    for ctx in (0, 1):
-        value, grad = robust_policy_cost(params, table, ctx)
-        assert value == pytest.approx(0.6, abs=1e-12)
-        assert np.allclose(grad, 0.0, atol=1e-12)
+    values, grads = policy_costs_and_grads(params, table, [0, 1])
+    assert values == pytest.approx([0.6, 0.6], abs=1e-12)
+    assert np.allclose(grads, 0.0, atol=1e-12)
 
 
 def test_cost_linear_in_clamp_probability():
-    table = RobustCostTable(np.array([[0.0, 1.0]]), method="exact", epsilon_c=0.0)
+    table = RobustCostTable(np.array([[0.0, 1.0]]))
     params = PolicyParams(np.array([0.35]), np.array([0]), 2, CLAMP)
-    value, grad = robust_policy_cost(params, table, 0)
+    (value,), (grad,) = policy_costs_and_grads(params, table, [0])
     assert value == pytest.approx(0.65, abs=1e-12)
     assert grad[0] == pytest.approx(-1.0, abs=1e-12)
 
@@ -111,7 +112,7 @@ def test_cost_gradient_matches_finite_differences():
     for trial in range(100):
         k = int(rng.integers(2, 5))
         m_hat = rng.random((3, k))
-        table = RobustCostTable(m_hat, method="exact", epsilon_c=0.0)
+        table = RobustCostTable(m_hat)
         param_kind = CLAMP if trial % 2 == 0 else SOFTMAX
         if param_kind is CLAMP:
             theta = np.concatenate([rng.dirichlet(np.ones(k))[: k - 1] * 0.9 + 0.02
@@ -120,10 +121,11 @@ def test_cost_gradient_matches_finite_differences():
             theta = rng.normal(size=2 * (k - 1))
         ctx = int(rng.integers(0, 3))
         params = PolicyParams(theta, grouping, k, param_kind)
-        _, grad = robust_policy_cost(params, table, ctx)
+        _, (grad,) = policy_costs_and_grads(params, table, [ctx])
 
         def value_at(t):
-            return robust_policy_cost(PolicyParams(t, grouping, k, param_kind), table, ctx)[0]
+            return policy_costs_and_grads(PolicyParams(t, grouping, k, param_kind), table,
+                                          [ctx])[0][0]
 
         fd = _fd_gradient(fn=value_at, theta=theta)
         err = np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad)))
@@ -136,13 +138,13 @@ def test_costs_for_requested_contexts_equal_rows_of_full_call():
     for kind in (CLAMP, SOFTMAX):
         theta = (np.tile([0.2, 0.5], 3) if kind is CLAMP else rng.normal(size=6))
         params = PolicyParams(theta, grouping, 3, kind)
-        table = RobustCostTable(rng.random((50, 3)), method="exact", epsilon_c=0.0)
+        table = RobustCostTable(rng.random((50, 3)))
         costs, grads = policy_costs_and_grads(params, table)
         ctx = np.array([7, 0, 7, 49])
         sub_costs, sub_grads = policy_costs_and_grads(params, table, ctx)
         assert np.array_equal(sub_costs, costs[ctx])
         assert np.array_equal(sub_grads, grads[ctx])
-        value, grad = robust_policy_cost(params, table, 7)
+        (value,), (grad,) = policy_costs_and_grads(params, table, [7])
         assert value == costs[7] and np.array_equal(grad, grads[7])
 
 
@@ -162,7 +164,7 @@ def test_full_enumeration_gradients_match_finite_differences():
     grouping = np.array([0, 0, 1, 1])
     eta, eps_x = 8.0, 0.2
     for trial in range(30):
-        table = RobustCostTable(rng.random((4, 2)), method="exact", epsilon_c=0.0)
+        table = RobustCostTable(rng.random((4, 2)))
         theta = rng.random(2) * 0.8 + 0.1
         lam = float(rng.random() * 2 + 0.05)
         params = PolicyParams(theta, grouping, 2, CLAMP)
@@ -191,7 +193,7 @@ def test_sampled_gradient_bias_shrinks_with_batch():
     rng = np.random.default_rng(17)
     support = SupportSet.from_scalars(np.linspace(0.0, 1.0, 6))
     cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(support.points, support.points)
-    table = RobustCostTable(rng.random((6, 2)), method="exact", epsilon_c=0.0)
+    table = RobustCostTable(rng.random((6, 2)))
     params = PolicyParams(np.array([0.4]), np.zeros(6, dtype=int), 2, CLAMP)
     lam, eta, eps_x = 0.8, 8.0, 0.2
     x_idx = 2
@@ -222,7 +224,7 @@ def convex_fixture():
 
 def test_bsgd_theta_frozen_when_costs_flat():
     support = SupportSet.from_scalars([0.0, 1.0])
-    table = RobustCostTable(np.full((2, 2), 0.5), method="exact", epsilon_c=0.0)
+    table = RobustCostTable(np.full((2, 2), 0.5))
     context_dist = uniform_distribution(support)
     policy0 = PolicyParams(np.array([0.3, 0.6]), np.array([0, 1]), 2, CLAMP)
     config = BsgdConfig(iterations=200, inner_batch=8, eta=5.0, epsilon_x=0.2, seed=0)
@@ -234,7 +236,7 @@ def test_bsgd_theta_frozen_when_costs_flat():
 def test_bsgd_lambda_stays_in_bracket():
     support, table, context_dist, policy0 = convex_fixture()
     config = BsgdConfig(iterations=500, inner_batch=4, eta=5.0, epsilon_x=0.6,
-                        seed=3, lambda0=0.0)
+                        seed=3)
     _, lam, trace = bsgd_learn(table, context_dist, support, config, policy0)
     cap = float(table.m_hat.max()) / 0.6
     assert np.all(trace.lam >= 0.0)
@@ -290,7 +292,7 @@ def reference_bsgd(table, context_dist, support, config, policy0):
     cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(support.points, support.points)
     k, kind = policy0.n_actions, policy0.parameterization
     params = PolicyParams(project_theta(policy0.theta, k, kind), policy0.grouping, k, kind)
-    lam = config.lambda0
+    lam = 0.0
     cap = float(table.m_hat.max()) / config.epsilon_x
     rng = np.random.default_rng(config.seed)
     n = len(support)
@@ -314,13 +316,13 @@ def test_bsgd_trace_bit_identical_to_reference_loop():
     weights = rng.random(n)
     weights[rng.random(n) < 0.4] = 0.0
     context_dist = make_distribution(support, weights / weights.sum())
-    table = RobustCostTable(rng.random((n, 3)), method="exact", epsilon_c=0.0)
+    table = RobustCostTable(rng.random((n, 3)))
     grouping = np.arange(n) % 2
     for kind, theta0 in ((CLAMP, np.array([0.2, 0.5, 0.6, 0.1])),
                          (SOFTMAX, np.array([0.3, -0.4, 1.0, 0.0]))):
         policy0 = PolicyParams(theta0, grouping, 3, kind)
         config = BsgdConfig(iterations=300, inner_batch=16, eta=4.0, epsilon_x=0.3,
-                            seed=8, lambda0=0.5, gamma=0.2)
+                            seed=8, gamma=0.2)
         params, lam, trace = bsgd_learn(table, context_dist, support, config, policy0)
         ref_params, ref_lam, rows = reference_bsgd(table, context_dist, support, config,
                                                    policy0)
@@ -338,7 +340,7 @@ def test_objective_in_row_blocks_equals_full_matrix():
     n = 1500  # three row blocks
     support = SupportSet(rng.normal(size=(n, 3)))
     context_dist = make_distribution(support, rng.dirichlet(np.ones(n)))
-    table = RobustCostTable(rng.random((n, 2)), method="exact", epsilon_c=0.0)
+    table = RobustCostTable(rng.random((n, 2)))
     params = PolicyParams(np.array([0.3, 0.8]), np.arange(n) % 2, 2, CLAMP)
     value = smoothed_learning_objective(params, 0.7, table, context_dist, 6.0, 0.2)
     costs, _ = policy_costs_and_grads(params, table)
@@ -356,7 +358,7 @@ def test_objective_with_zero_weight_contexts_equals_full_matrix():
     weights[rng.random(n) < 0.3] = 0.0
     weights[:400] = 0.0
     context_dist = make_distribution(support, weights / weights.sum())
-    table = RobustCostTable(rng.random((n, 2)), method="exact", epsilon_c=0.0)
+    table = RobustCostTable(rng.random((n, 2)))
     params = PolicyParams(np.array([0.3, 0.8]), np.arange(n) % 2, 2, CLAMP)
     value = smoothed_learning_objective(params, 0.7, table, context_dist, 6.0, 0.2)
     costs, _ = policy_costs_and_grads(params, table)
@@ -372,7 +374,7 @@ def test_bsgd_runs_above_the_pairwise_limit_in_bounded_memory():
     rng = np.random.default_rng(37)
     support = SupportSet(rng.normal(size=(n, 2)))
     context_dist = make_distribution(support, rng.dirichlet(np.ones(n)))
-    table = RobustCostTable(rng.random((n, 2)), method="exact", epsilon_c=0.0)
+    table = RobustCostTable(rng.random((n, 2)))
     config = BsgdConfig(iterations=200, inner_batch=32, eta=5.0, epsilon_x=0.5, seed=2)
     # two groups, and one group per context (the CLI's identity grouping),
     # where a contexts x dim(theta) gradient matrix would itself be N x N
@@ -398,7 +400,7 @@ def test_smoothed_objective_computes_no_moments(monkeypatch):
     rng = np.random.default_rng(43)
     support = SupportSet(rng.random((n, 3)))
     context_dist = make_distribution(support, rng.dirichlet(np.ones(n)))
-    table = RobustCostTable(rng.random((n, 2)), method="exact", epsilon_c=0.0)
+    table = RobustCostTable(rng.random((n, 2)))
     params = PolicyParams(np.array([0.3]), np.zeros(n, dtype=np.int64), 2, CLAMP)
     tracemalloc.start()
     try:
@@ -421,7 +423,7 @@ def test_kl_methods_run_above_the_pairwise_limit_without_a_cost_matrix():
     rng = np.random.default_rng(41)
     support = SupportSet(rng.normal(size=(n, 2)))
     context_dist = make_distribution(support, rng.dirichlet(np.ones(n)))
-    table = RobustCostTable(rng.random((n, 2)), method="kl", epsilon_c=0.0)
+    table = RobustCostTable(rng.random((n, 2)))
     grouping = np.arange(n) % 2
     tracemalloc.start()
     try:
@@ -442,7 +444,7 @@ def test_kl_methods_run_above_the_pairwise_limit_without_a_cost_matrix():
 
 def test_exact_opl_flat_objective_keeps_first_grid_point():
     support = SupportSet.from_scalars([0.0, 1.0])
-    table = RobustCostTable(np.full((2, 2), 0.4), method="exact", epsilon_c=0.0)
+    table = RobustCostTable(np.full((2, 2), 0.4))
     params, value = exact_opl(table, uniform_distribution(support), np.array([0, 0]),
                               CLAMP, 0.1, resolution=11)
     assert params.theta[0] == 0.0  # earliest grid point wins ties
@@ -451,7 +453,7 @@ def test_exact_opl_flat_objective_keeps_first_grid_point():
 
 def test_exact_opl_single_context_puts_mass_on_cheap_action():
     support = SupportSet.from_scalars([0.0])
-    table = RobustCostTable(np.array([[0.0, 1.0]]), method="exact", epsilon_c=0.0)
+    table = RobustCostTable(np.array([[0.0, 1.0]]))
     params, value = exact_opl(table, make_distribution(support, [1.0]),
                               np.array([0]), CLAMP, 0.7, resolution=101)
     assert params.theta[0] == pytest.approx(1.0)
@@ -462,7 +464,7 @@ def test_exact_opl_beats_uniform_policy():
     rng = np.random.default_rng(23)
     support = SupportSet.from_scalars([0.0, 1.0])
     for _ in range(5):
-        table = RobustCostTable(rng.random((2, 2)), method="exact", epsilon_c=0.0)
+        table = RobustCostTable(rng.random((2, 2)))
         context_dist = uniform_distribution(support)
         _, best = exact_opl(table, context_dist, np.array([0, 1]), CLAMP, 0.2,
                             resolution=41)
@@ -503,8 +505,7 @@ def test_exact_opl_chunks_match_one_solve_per_grid_point(monkeypatch):
             for k, grouping, resolution in ((3, np.zeros(5, dtype=int), 7),
                                             (2, np.array([0, 1, 2, 0, 1]), 4)):
                 # negative costs: a clamp point of total mass above one would win
-                table = RobustCostTable(rng.random((5, k)) - 0.5, method="exact",
-                                        epsilon_c=0.0)
+                table = RobustCostTable(rng.random((5, k)) - 0.5)
                 params, value = exact_opl(table, context_dist, grouping, kind, 0.3,
                                           method=method, eta=eta, resolution=resolution)
                 theta, ref = reference_grid(table, context_dist, grouping, kind, 0.3,
@@ -519,8 +520,7 @@ def test_exact_opl_tie_across_chunks_keeps_first_grid_point(monkeypatch):
     # three split them (18-20 | 21-23 | 24)
     monkeypatch.setattr(opl, "_BLOCK_CELLS", 3 * 2)
     support = SupportSet.from_scalars([0.0, 1.0])
-    table = RobustCostTable(np.array([[0.0, 1.0], [0.0, 0.0]]), method="exact",
-                            epsilon_c=0.0)
+    table = RobustCostTable(np.array([[0.0, 1.0], [0.0, 0.0]]))
     for kind in (CLAMP, SOFTMAX):
         args = (table, uniform_distribution(support), np.array([0, 1]), kind, 0.2, "exact",
                 None, 5)
@@ -544,7 +544,7 @@ def test_exact_opl_chunk_size_changes_no_bit(monkeypatch, support, method):
     else:
         points = rng.normal(size=(12, 2))
     context_dist = make_distribution(SupportSet(points), rng.dirichlet(np.ones(12)))
-    table = RobustCostTable(rng.random((12, 3)), method="exact", epsilon_c=0.0)
+    table = RobustCostTable(rng.random((12, 3)))
     eta = 4.0 if method == "regularized" else None
     results = []
     for cells in (1, 2 * 12, opl._BLOCK_CELLS):
@@ -557,7 +557,7 @@ def test_exact_opl_chunk_size_changes_no_bit(monkeypatch, support, method):
 
 def test_exact_opl_dimension_limit():
     # 4 groups x 1 = 4 parameters exceeds the grid-search limit
-    big_table = RobustCostTable(np.full((4, 2), 0.4), method="exact", epsilon_c=0.0)
+    big_table = RobustCostTable(np.full((4, 2), 0.4))
     big_support = SupportSet.from_scalars([0.0, 1.0, 2.0, 3.0])
     with pytest.raises(DimensionTooLarge):
         exact_opl(big_table, uniform_distribution(big_support), np.arange(4), CLAMP, 0.1)
