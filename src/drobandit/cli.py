@@ -1,22 +1,23 @@
 """Command-line surface: every pipeline as a reproducible, CSV-emitting run.
 
-Subcommands: distance, radius, ope, opl, compare, rate, synth, rerun. Every
-run that writes files also writes a JSON manifest capturing the exact argv,
-seed, tool version and input digests; `drobandit rerun MANIFEST` replays the
-recorded argv and reproduces the output files byte for byte. Timing lives in
-the manifest and on stdout, never inside output CSVs; so do the diagnostics
-`ope` records (the outer solve's evaluations, lambda*, bracket and certified
-gap, the minimum pair frequency, the number of imputed pairs, the context
-support size and which cost kernel the outer dual used: "grid", "dense" or
-"none").
+Subcommands: distance, radius, ope, opl, compare, rate, synth, rerun. A
+handler only computes, reading and writing files through a :class:`Run` that
+records their paths; `main` times it and writes the JSON manifest: the argv,
+seed, tool version, input digests, output paths, options, the wall clock from
+the handler's start to the manifest write (output writes included) and the
+diagnostics `ope` records (the outer solve's evaluations, lambda*, bracket and
+certified gap, the minimum pair frequency, the number of imputed pairs, the
+context support size and which cost kernel the outer dual used: "grid",
+"dense" or "none"). `drobandit rerun MANIFEST` replays the recorded argv,
+reproducing the outputs byte for byte, and writes no manifest of its own.
+Timing lives in the manifest and on stdout, never inside output CSVs.
 
-Exit codes: 0 success, 2 I/O or file-format problems, 3 validation problems,
-4 numerical failures.
+Exit codes: 0 success, 2 I/O or file-format problems (malformed JSON
+included), 3 validation problems, 4 numerical failures.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import hashlib
@@ -39,7 +40,9 @@ from .data import (
     finite_float,
     load_canonical,
     load_dataset,
+    read_json,
     save_dataset,
+    sidecar_path,
     synth_generate,
     synthetic_config_from_json,
     write_columns,
@@ -72,14 +75,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -88,35 +83,56 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args, argv, inputs, outputs, wall_clock_s, diagnostics=None) -> None:
-    path = args.manifest_out
-    if path is None and args.out:
-        path = f"{args.out}.manifest.json"
-    if path is None:
-        return
-    manifest = {
-        "command": args.command,
-        "argv": list(argv),
-        "seed": getattr(args, "seed", None),
-        "version": __version__,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": [str(p) for p in outputs],
-        "wall_clock_s": wall_clock_s,
-        "options": {
-            k: v for k, v in sorted(vars(args).items())
-            if k != "command" and isinstance(v, (str, int, float, bool, type(None)))
-        },
-    }
-    if diagnostics is not None:
-        manifest["diagnostics"] = diagnostics
-    with open(path, "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+@dataclasses.dataclass
+class Run:
+    """What a run records for its manifest: its start, the files it read and wrote, diagnostics."""
+
+    start: float = dataclasses.field(default_factory=time.monotonic)
+    inputs: list = dataclasses.field(default_factory=list)
+    outputs: list = dataclasses.field(default_factory=list)
+    diagnostics: dict | None = None
+
+    def read(self, path):
+        """Record `path` as an input and return it."""
+        self.inputs.append(path)
+        return path
+
+    def read_json(self, path):
+        return read_json(self.read(path))
+
+    def write(self, path, header, rows=(), columns=None) -> None:
+        """If `path` is set, write `rows` of values or formatted `columns` there as a CSV."""
+        if path:
+            write_columns(path, header, columns or [map(_fmt, c) for c in zip(*rows)])
+            self.outputs.append(path)
+
+    def write_manifest(self, args, argv) -> None:
+        path = args.manifest_out or (args.out and f"{args.out}.manifest.json")
+        if not path:
+            return
+        manifest = {
+            "command": args.command,
+            "argv": list(argv),
+            "seed": getattr(args, "seed", None),
+            "version": __version__,
+            "wall_clock_s": time.monotonic() - self.start,  # before the input digests
+            "inputs": {str(p): _sha256(p) for p in self.inputs},
+            "outputs": [str(p) for p in self.outputs],
+            "options": {
+                k: v for k, v in sorted(vars(args).items())
+                if k != "command" and isinstance(v, (str, int, float, bool, type(None)))
+            },
+        }
+        if self.diagnostics is not None:
+            manifest["diagnostics"] = self.diagnostics
+        with open(path, "w") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=True)
+            handle.write("\n")
 
 
-def _load_distribution_csv(path) -> DiscreteDistribution:
+def _load_distribution_csv(path, run) -> DiscreteDistribution:
     """Distribution file: coordinate columns plus a `weight` column."""
-    table = CsvColumns(path)
+    table = CsvColumns(run.read(path))
     if "weight" not in table.header or len(table.header) < 2:
         raise errors.SchemaMismatch(f"{path} needs a header with coordinate columns and 'weight'")
     columns = [c for c in table.header if c != "weight"] + ["weight"]
@@ -124,25 +140,20 @@ def _load_distribution_csv(path) -> DiscreteDistribution:
     return make_distribution(SupportSet(values[:, :-1]), values[:, -1], pre_normalize=True)
 
 
-def _load_bandit_data(args, support):
-    inputs = [args.data]
+def _load_bandit_data(args, support, run):
     if args.config:
-        with open(args.config) as handle:
-            schema = json.load(handle)
-        inputs.append(args.config)
-        dataset = load_dataset(args.data, schema, support=support)
-    else:
-        dataset = load_canonical(args.data)
-        inputs.append(f"{args.data}.meta.json")
-    return dataset, inputs
+        return load_dataset(run.read(args.data), run.read_json(args.config), support=support)
+    run.read(sidecar_path(args.data))
+    return load_canonical(run.read(args.data))
 
 
-def _load_policy(spec: str, n_contexts: int, n_actions: int):
+def _load_policy(spec: str, n_contexts: int, n_actions: int, run):
     if spec == "uniform":
-        return Policy.uniform(n_contexts, n_actions), []
-    with open(spec) as handle:
-        obj = json.load(handle)
-    return Policy(np.asarray(obj["probs"], dtype=np.float64)), [spec]
+        return Policy.uniform(n_contexts, n_actions)
+    obj = run.read_json(spec)
+    if "probs" not in obj:
+        raise errors.SchemaMismatch(f"policy file {spec} is missing 'probs'")
+    return Policy(np.asarray(obj["probs"], dtype=np.float64))
 
 
 def _union_support(p: DiscreteDistribution, q: DiscreteDistribution):
@@ -155,10 +166,9 @@ def _union_support(p: DiscreteDistribution, q: DiscreteDistribution):
 
 # -- subcommand handlers --------------------------------------------------------
 
-def cmd_distance(args, argv) -> int:
-    start = time.monotonic()
-    p = _load_distribution_csv(args.p)
-    q = _load_distribution_csv(args.q)
+def cmd_distance(args, run) -> None:
+    p = _load_distribution_csv(args.p, run)
+    q = _load_distribution_csv(args.q, run)
     distance, plan = wasserstein_distance(p, q)
     row = [distance]
     header = ["wasserstein"]
@@ -167,36 +177,22 @@ def cmd_distance(args, argv) -> int:
         header.append("kl")
         row.append(kl_divergence(q_u, p_u))
     print(" ".join(f"{h}={_fmt(v)}" for h, v in zip(header, row)))
-    outputs = []
-    if args.out:
-        _write_csv(args.out, header, [row])
-        outputs.append(args.out)
-    if args.plan_out:
-        entries = [(i, j, plan.matrix[i, j]) for i, j in np.argwhere(plan.matrix > 0)]
-        _write_csv(args.plan_out, ["source_index", "target_index", "mass"], entries)
-        outputs.append(args.plan_out)
-    _write_manifest(args, argv, [args.p, args.q], outputs, time.monotonic() - start)
-    return 0
+    run.write(args.out, header, [row])
+    run.write(args.plan_out, ["source_index", "target_index", "mass"],
+              ((i, j, plan.matrix[i, j]) for i, j in np.argwhere(plan.matrix > 0)))
 
 
-def cmd_radius(args, argv) -> int:
-    start = time.monotonic()
+def cmd_radius(args, run) -> None:
     if args.config:
         # the records' binned contexts, the same on either support
-        dataset, inputs = _load_bandit_data(args, "observed")
+        dataset = _load_bandit_data(args, "observed", run)
         contexts = dataset.contexts.points[dataset.context_idx]
     else:
-        inputs = [args.data]
-        table = CsvColumns(args.data)
+        table = CsvColumns(run.read(args.data))
         contexts = np.column_stack(table.expand([(c, finite_float) for c in table.header]))
     radius = split_radius_estimate(contexts, seed=args.seed)
     print(f"radius={_fmt(radius)}")
-    outputs = []
-    if args.out:
-        _write_csv(args.out, ["seed", "radius"], [[args.seed, radius]])
-        outputs.append(args.out)
-    _write_manifest(args, argv, inputs, outputs, time.monotonic() - start)
-    return 0
+    run.write(args.out, ["seed", "radius"], [[args.seed, radius]])
 
 
 def _robust_table(args, dataset):
@@ -213,38 +209,30 @@ def _robust_table(args, dataset):
     return method, eps_x, eps_c, table
 
 
-def cmd_ope(args, argv) -> int:
-    start = time.monotonic()
-    dataset, inputs = _load_bandit_data(args, args.support)
-    policy, extra = _load_policy(args.policy, len(dataset.contexts), len(dataset.actions))
-    inputs.extend(extra)
+def cmd_ope(args, run) -> None:
+    dataset = _load_bandit_data(args, args.support, run)
+    policy = _load_policy(args.policy, len(dataset.contexts), len(dataset.actions), run)
     method, eps_x, eps_c, table = _robust_table(args, dataset)
     context_dist = dataset.empirical_context_distribution()
     solution = evaluate_policy(
         policy, table, context_dist, eps_x, method=method, eta=args.eta, tol=args.tol
     )
-    wall = time.monotonic() - start
     print(
         f"method={args.method} epsilon_x={_fmt(eps_x)} epsilon_c={_fmt(eps_c)} "
         f"value={_fmt(solution.value)} lambda_star={_fmt(solution.lambda_star)} "
-        f"runtime_s={wall:.3f}"
+        f"runtime_s={time.monotonic() - run.start:.3f}"
     )
-    outputs = []
-    if args.out:
-        _write_csv(
-            args.out,
-            ["method", "epsilon_x", "epsilon_c", "eta", "value", "lambda_star"],
-            [[args.method, eps_x, eps_c, args.eta if args.method == "regularized" else "",
-              solution.value, solution.lambda_star]],
-        )
-        outputs.append(args.out)
-    if args.table_out:
-        x, a = np.indices(table.m_hat.shape).reshape(2, -1).tolist()
-        write_columns(args.table_out, ["context_index", "action_index", "m_hat"],
-                      [map(str, x), map(str, a), map(repr, table.m_hat.ravel().tolist())])
-        outputs.append(args.table_out)
+    run.write(
+        args.out,
+        ["method", "epsilon_x", "epsilon_c", "eta", "value", "lambda_star"],
+        [[args.method, eps_x, eps_c, args.eta if args.method == "regularized" else "",
+          solution.value, solution.lambda_star]],
+    )
+    x, a = np.indices(table.m_hat.shape).reshape(2, -1).tolist()
+    run.write(args.table_out, ["context_index", "action_index", "m_hat"],
+              columns=[map(str, x), map(str, a), map(repr, table.m_hat.ravel().tolist())])
     coverage = dataset.diagnostics
-    diagnostics = {
+    run.diagnostics = {
         "outer_solve": {"iterations": solution.iterations, "lambda_star": solution.lambda_star,
                         "bracket": list(solution.bracket), "gap": solution.gap},
         "min_pair_frequency": coverage.min_pair_frequency,
@@ -252,26 +240,21 @@ def cmd_ope(args, argv) -> int:
         "support_size": len(context_dist.support),
         "cost_kernel": cost_kernel(context_dist.support.points, method),
     }
-    _write_manifest(args, argv, inputs, outputs, wall, diagnostics)
-    return 0
 
 
-def _parse_grouping(spec: str, n_contexts: int):
+def _parse_grouping(spec: str, n_contexts: int, run):
     if spec == "identity":
-        return np.arange(n_contexts), []
+        return np.arange(n_contexts)
     if spec == "single":
-        return np.zeros(n_contexts, dtype=np.int64), []
-    with open(spec) as handle:
-        return np.asarray(json.load(handle), dtype=np.int64), [spec]
+        return np.zeros(n_contexts, dtype=np.int64)
+    return np.asarray(run.read_json(spec), dtype=np.int64)
 
 
-def cmd_opl(args, argv) -> int:
-    start = time.monotonic()
-    dataset, inputs = _load_bandit_data(args, args.support)
+def cmd_opl(args, run) -> None:
+    dataset = _load_bandit_data(args, args.support, run)
     method, eps_x, eps_c, table = _robust_table(args, dataset)
     context_dist = dataset.empirical_context_distribution()
-    grouping, extra = _parse_grouping(args.grouping, len(dataset.contexts))
-    inputs.extend(extra)
+    grouping = _parse_grouping(args.grouping, len(dataset.contexts), run)
     parameterization = (
         Parameterization.GROUP_PROB_CLAMP if args.parameterization == "clamp"
         else Parameterization.GROUP_SOFTMAX
@@ -279,7 +262,6 @@ def cmd_opl(args, argv) -> int:
     n_actions = len(dataset.actions)
     dim = (int(grouping.max()) + 1) * (n_actions - 1)
 
-    outputs = []
     eta_used = args.eta if args.method == "regularized" else ""  # the summary's eta
     if args.algo == "grid":
         params, value = exact_opl(
@@ -301,32 +283,28 @@ def cmd_opl(args, argv) -> int:
         policy0 = PolicyParams(start_theta, grouping, n_actions, parameterization)
         params, lam, trace = bsgd_learn(table, context_dist, dataset.contexts, config, policy0)
         value = smoothed_learning_objective(params, lam, table, context_dist, eta, eps_x)
-        if args.trace_out:
-            rows = [
-                [t, *trace.theta[t], trace.lam[t], trace.context_index[t], trace.objective[t]]
-                for t in range(len(trace))
-            ]
-            head = (["t"] + [f"theta_{i}" for i in range(dim)]
-                    + ["lambda", "context_index", "objective"])
-            _write_csv(args.trace_out, head, rows)
-            outputs.append(args.trace_out)
+        rows = (
+            [t, *trace.theta[t], trace.lam[t], trace.context_index[t], trace.objective[t]]
+            for t in range(len(trace))
+        )
+        head = (["t"] + [f"theta_{i}" for i in range(dim)]
+                + ["lambda", "context_index", "objective"])
+        run.write(args.trace_out, head, rows)
 
-    wall = time.monotonic() - start
     theta_list = ",".join(_fmt(v) for v in params.theta)
-    print(f"algo={args.algo} value={_fmt(value)} theta=[{theta_list}] runtime_s={wall:.3f}")
-    if args.out:
-        header = (["algo", "method", "epsilon_x", "epsilon_c", "eta", "value", "lambda"]
-                  + [f"theta_{i}" for i in range(dim)])
-        row = [args.algo, args.method, eps_x, eps_c, eta_used, value, lam, *params.theta]
-        _write_csv(args.out, header, [row])
-        outputs.append(args.out)
-    _write_manifest(args, argv, inputs, outputs, wall)
-    return 0
+    print(f"algo={args.algo} value={_fmt(value)} theta=[{theta_list}] "
+          f"runtime_s={time.monotonic() - run.start:.3f}")
+    header = (["algo", "method", "epsilon_x", "epsilon_c", "eta", "value", "lambda"]
+              + [f"theta_{i}" for i in range(dim)])
+    row = [args.algo, args.method, eps_x, eps_c, eta_used, value, lam, *params.theta]
+    run.write(args.out, header, [row])
 
 
-def _comparison_spec_from_json(path) -> ComparisonSpec:
-    with open(path) as handle:
-        obj = json.load(handle)
+def _comparison_spec_from_json(path, run) -> ComparisonSpec:
+    obj = run.read_json(path)
+    missing = [k for k in ("support_points", "values", "p_hat", "q") if k not in obj]
+    if missing:
+        raise errors.SchemaMismatch(f"comparison spec {path} is missing {missing}")
     support = SupportSet(np.asarray(obj["support_points"], dtype=np.float64))
     return ComparisonSpec(
         support=support,
@@ -339,14 +317,8 @@ def _comparison_spec_from_json(path) -> ComparisonSpec:
     )
 
 
-def cmd_compare(args, argv) -> int:
-    start = time.monotonic()
-    inputs = []
-    if args.spec:
-        spec = _comparison_spec_from_json(args.spec)
-        inputs.append(args.spec)
-    else:
-        spec = default_comparison_spec()
+def cmd_compare(args, run) -> None:
+    spec = _comparison_spec_from_json(args.spec, run) if args.spec else default_comparison_spec()
     multipliers = [float(v) for v in args.radii.split(",")]
     rows = run_comparison(spec, multipliers, include_outlier=args.outlier_shift, tol=args.tol)
     for row in rows:
@@ -358,18 +330,11 @@ def cmd_compare(args, argv) -> int:
         deltas = value_deltas(rows)
         for method, delta in sorted(deltas.items()):
             print(f"outlier value increase, {method}: {_fmt(delta)}")
-    outputs = []
-    if args.out:
-        header = ["scenario", "method", "multiplier", "epsilon", "value",
-                  "expectation_under_q"]
-        _write_csv(args.out, header, [[r[h] for h in header] for r in rows])
-        outputs.append(args.out)
-    _write_manifest(args, argv, inputs, outputs, time.monotonic() - start)
-    return 0
+    header = ["scenario", "method", "multiplier", "epsilon", "value", "expectation_under_q"]
+    run.write(args.out, header, ([r[h] for h in header] for r in rows))
 
 
-def cmd_rate(args, argv) -> int:
-    start = time.monotonic()
+def cmd_rate(args, run) -> None:
     config = canonical_rate_config(
         n_contexts=args.contexts, n_xi=args.xi_size, n_actions=args.actions,
         seed=args.seed,
@@ -382,49 +347,31 @@ def cmd_rate(args, argv) -> int:
     for n, med in result.rows:
         print(f"n={n} median_abs_error={_fmt(med)}")
     print(f"loglog_slope={_fmt(result.slope)}")
-    outputs = []
-    if args.out:
-        rows = [[n, med, result.slope] for n, med in result.rows]
-        _write_csv(args.out, ["n", "median_abs_error", "loglog_slope"], rows)
-        outputs.append(args.out)
-    _write_manifest(args, argv, [], outputs, time.monotonic() - start)
-    return 0
+    run.write(args.out, ["n", "median_abs_error", "loglog_slope"],
+              [[n, med, result.slope] for n, med in result.rows])
 
 
-def cmd_synth(args, argv) -> int:
-    start = time.monotonic()
-    with open(args.spec) as handle:
-        config = synthetic_config_from_json(json.load(handle))
+def cmd_synth(args, run) -> None:
+    config = synthetic_config_from_json(run.read_json(args.spec))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     train, test, _ = synth_generate(config)
-    save_dataset(train, args.out_train)
-    save_dataset(test, args.out_test)
-    outputs = [args.out_train, f"{args.out_train}.meta.json",
-               args.out_test, f"{args.out_test}.meta.json"]
+    for dataset, path in ((train, args.out_train), (test, args.out_test)):
+        save_dataset(dataset, path)
+        run.outputs += [path, sidecar_path(path)]
     print(f"train={args.out_train} ({train.n} records) test={args.out_test} ({test.n} records)")
-    _write_manifest(args, argv, [args.spec], outputs, time.monotonic() - start)
-    return 0
-
-
-def cmd_rerun(args, argv) -> int:
-    with open(args.manifest) as handle:
-        manifest = json.load(handle)
-    recorded = manifest.get("argv")
-    if not recorded or recorded[0] == "rerun":
-        raise errors.ValidationError("manifest does not carry a replayable command")
-    return main(recorded)
 
 
 # -- parser ----------------------------------------------------------------------
 
+_TOL = {"type": float, "default": None,
+        "help": "dual solver value tolerance (default 1e-9 * max cost)"}
+
+
 def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="output CSV path")
     parser.add_argument("--manifest-out", default=None,
                         help="manifest path (default: <out>.manifest.json)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="dual solver value tolerance (default 1e-9 * max cost)")
 
 
 def _add_data_args(parser):
@@ -440,6 +387,8 @@ def _add_data_args(parser):
     parser.add_argument("--eta", type=float, default=None, help="smoothing sharpness")
     parser.add_argument("--impute-missing-ymax", action="store_true",
                         help="charge unobserved (context, action) pairs the maximum cost")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--tol", **_TOL)
 
 
 @functools.cache  # built once per process: parse_args leaves the parser as it was
@@ -462,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radius", help="data-driven radius from a split sample")
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(handler=cmd_radius)
 
@@ -494,6 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated multipliers of the measured radius")
     p.add_argument("--outlier-shift", action="store_true",
                    help="also run with the top support point dragged outward")
+    p.add_argument("--tol", **_TOL)
     _add_common(p)
     p.set_defaults(handler=cmd_compare)
 
@@ -506,6 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", default="128,256,512,1024,2048,4096,8192,16384",
                    dest="n_grid")
     p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", **_TOL)
     _add_common(p)
     p.set_defaults(handler=cmd_rate)
 
@@ -520,17 +473,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rerun", help="replay a command from its manifest")
     p.add_argument("manifest")
-    p.set_defaults(handler=cmd_rerun)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, argv)
+        if args.command == "rerun":  # replays the recorded run, which writes the manifest
+            recorded = read_json(args.manifest).get("argv")
+            if not recorded or recorded[0] == "rerun":
+                raise errors.ValidationError("manifest does not carry a replayable command")
+            return main(recorded)
+        run = Run()
+        args.handler(args, run)
+        run.write_manifest(args, argv)
+        return 0
     except (errors.DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -470,13 +470,18 @@ def sidecar_path(path) -> str:
     return f"{path}.meta.json"
 
 
+def read_json(path):
+    """The JSON value in the file at `path`; malformed JSON raises :class:`UnparsableRow`."""
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise UnparsableRow(exc.lineno, f"{path} is not JSON: {exc.msg}") from exc
+
+
 def load_canonical(path) -> BanditDataset:
     """Read back a dataset written by :func:`save_dataset`."""
-    try:
-        with open(sidecar_path(path)) as handle:
-            sidecar = json.load(handle)
-    except FileNotFoundError as exc:
-        raise SchemaMismatch(f"missing sidecar {sidecar_path(path)}") from exc
+    sidecar = read_json(sidecar_path(path))
     context_idx, action_idx, xi_idx, costs = CsvColumns(path, _CANONICAL_COLUMNS).expand(
         [(column, int) for column in _CANONICAL_COLUMNS[:3]] + [("cost", finite_float)])
     return BanditDataset(

@@ -134,7 +134,7 @@ class DiscreteDistribution:
             raise LengthMismatch(
                 f"{len(w)} weights for {len(self.support)} support points"
             )
-        if np.any(w < 0):
+        if not np.all(w >= 0):  # NaN fails too
             raise NegativeWeight("weights must be non-negative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise NotNormalizable(f"weights sum to {w.sum()!r}, expected 1")
@@ -171,11 +171,11 @@ def make_distribution(support: SupportSet, weights, pre_normalize: bool = False)
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or len(w) != len(support):
         raise LengthMismatch(f"{w.size} weights for {len(support)} support points")
-    if np.any(w < 0):
+    if not np.all(w >= 0):  # NaN fails too
         raise NegativeWeight("weights must be non-negative")
     total = float(w.sum())
-    if total <= 0:
-        raise NotNormalizable("weights sum to a non-positive total")
+    if not 0 < total < np.inf:
+        raise NotNormalizable(f"weights sum to {total!r}, not a positive finite total")
     if not pre_normalize and abs(total - 1.0) > WEIGHT_SUM_ATOL:
         raise NotNormalizable(
             f"weights sum to {total!r}; drift above {WEIGHT_SUM_ATOL} is rejected"

@@ -48,7 +48,7 @@ class Policy:
             raise ValidationError("policy probabilities must be a (contexts, actions) matrix")
         sums = p.sum(axis=1)
         drift = np.abs(sums - 1.0)
-        if np.any(p < 0) or np.max(drift) > WEIGHT_SUM_ATOL:
+        if not np.all(p >= 0) or np.max(drift) > WEIGHT_SUM_ATOL:  # NaN fails too
             raise ValidationError("each policy row must be a probability vector")
         off = drift > 1e-12
         p[off] /= sums[off, None]
@@ -84,7 +84,7 @@ class CostModel:
             raise ValidationError(
                 "cost model must have shape (contexts, actions, xi support size)"
             )
-        if np.any(arr < 0) or np.any(arr > self.y_max + 1e-12):
+        if not (np.all(arr >= 0) and np.all(arr <= self.y_max + 1e-12)):  # NaN fails too
             raise ValidationError(f"costs must lie in [0, {self.y_max}]")
 
     @staticmethod

@@ -1,13 +1,15 @@
 import csv
 import json
 import math
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from drobandit import cli
-from drobandit.cli import _write_csv, main
+from drobandit.cli import main
 from drobandit.data import load_canonical, save_dataset
 from drobandit.distributions import SupportSet, kl_divergence, make_distribution
 from drobandit.transport import MAX_PAIRWISE_CELLS
@@ -204,6 +206,45 @@ def test_reader_faults_exit_2_naming_their_line(tmp_path, capsys, text, line):
     assert f"error: line {line}:" in capsys.readouterr().err
 
 
+TRUNCATED_JSON = '{\n  "probs": [[1.0, 0.0],\n'  # ends on line 3
+
+
+def json_file(tmp_path, obj=None):
+    path = tmp_path / "input.json"
+    path.write_text(TRUNCATED_JSON if obj is None else json.dumps(obj))
+    return str(path)
+
+
+def truncated_sidecar(tmp_path, train):
+    Path(f"{train}.meta.json").write_text(TRUNCATED_JSON)
+    return ["ope", "--data", train]
+
+
+@pytest.mark.parametrize("command, message", [
+    (lambda tmp, train: ["ope", "--data", train, "--policy", json_file(tmp)], "not JSON"),
+    (lambda tmp, train: ["opl", "--data", train, "--algo", "grid", "--resolution", "3",
+                         "--grouping", json_file(tmp)], "not JSON"),
+    (lambda tmp, train: ["ope", "--data", train, "--config", json_file(tmp)], "not JSON"),
+    (lambda tmp, train: ["compare", "--spec", json_file(tmp)], "not JSON"),
+    (lambda tmp, train: ["synth", "--spec", json_file(tmp), "--out-train", str(tmp / "a.csv"),
+                         "--out-test", str(tmp / "b.csv")], "not JSON"),
+    (truncated_sidecar, "not JSON"),
+    (lambda tmp, train: ["rerun", json_file(tmp)], "not JSON"),
+    (lambda tmp, train: ["ope", "--data", train, "--policy", json_file(tmp, {"p": []})],
+     "missing 'probs'"),
+    (lambda tmp, train: ["compare", "--spec", json_file(tmp, {
+        "support_points": [[0.0], [1.0]], "p_hat": [0.5, 0.5], "q": [0.5, 0.5]})],
+     "missing ['values']"),
+], ids=["policy", "grouping", "config", "compare-spec", "synth-spec", "sidecar", "manifest",
+        "policy-without-probs", "compare-spec-without-values"])
+def test_malformed_json_input_exits_2(tmp_path, capsys, canonical_data, command, message):
+    assert main(command(tmp_path, str(canonical_data))) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    if message == "not JSON":
+        assert err.startswith("error: line 3: ")
+
+
 @pytest.mark.parametrize("bad_row", ["-1,0,0,0.0", "0,-1,0,0.0"], ids=["context", "action"])
 def test_negative_canonical_index_exits_3(tmp_path, capsys, bad_row):
     rows = "0,0,0,0.0\n0,1,1,1.0\n1,0,0,0.0\n1,1,1,1.0\n" + bad_row
@@ -312,6 +353,13 @@ def test_ope_accepts_policy_file_rounded_to_ten_decimals(tmp_path, canonical_dat
     assert values[1] == pytest.approx(values[0], abs=1e-9)
 
 
+def test_ope_policy_file_holding_nan_exits_3(tmp_path, capsys, canonical_data):
+    policy = tmp_path / "policy.json"
+    policy.write_text('{"probs": [[NaN, 1.0], [0.5, 0.5], [0.5, 0.5]]}')
+    assert main(["ope", "--data", str(canonical_data), "--policy", str(policy)]) == 3
+    assert "each policy row must be a probability vector" in capsys.readouterr().err
+
+
 def test_ope_table_out_covers_grid(tmp_path, canonical_data):
     table = tmp_path / "table.csv"
     assert main(["ope", "--data", str(canonical_data), "--epsilon-c", "0.05",
@@ -322,14 +370,17 @@ def test_ope_table_out_covers_grid(tmp_path, canonical_data):
 
 
 def test_column_writers_match_the_row_writers(tmp_path, canonical_data):
-    # --table-out against _write_csv over the per-cell rows it used to take
+    # --table-out against a per-cell row loop over the values it holds
     table = tmp_path / "table.csv"
     assert main(["ope", "--data", str(canonical_data), "--epsilon-c", "0.05",
                  "--table-out", str(table)]) == 0
-    rows = [(int(r["context_index"]), int(r["action_index"]), np.float64(r["m_hat"]))
-            for r in read_rows(table)]
     expected = tmp_path / "expected.csv"
-    _write_csv(expected, ["context_index", "action_index", "m_hat"], rows)
+    with open(expected, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(("context_index", "action_index", "m_hat"))
+        for r in read_rows(table):
+            writer.writerow([int(r["context_index"]), int(r["action_index"]),
+                             repr(float(r["m_hat"]))])
     assert table.read_bytes() == expected.read_bytes()
     # save_dataset against its former per-record loop
     dataset = load_canonical(canonical_data)
@@ -469,6 +520,99 @@ def test_manifest_rerun_reproduces_outputs_byte_identically(tmp_path):
     assert recorded["command"] == "ope"
     assert recorded["inputs"]
     assert recorded["outputs"] == [str(ope_out)]
+
+
+def manifest_distance(tmp, train):
+    p = write_dist(tmp / "p.csv", [[0.0, 0.2], [1.0, 0.5], [2.5, 0.3]])
+    q = write_dist(tmp / "q.csv", [[0.5, 0.4], [1.0, 0.1], [3.0, 0.5]])
+    out, plan = str(tmp / "d.csv"), str(tmp / "plan.csv")
+    return ["distance", "--p", p, "--q", q, "--kl", "--out", out, "--plan-out", plan], \
+        [p, q], [out, plan]
+
+
+def raw_log(tmp):
+    data, schema = tmp / "raw.csv", tmp / "schema.json"
+    data.write_text("x,arm,cost\n" + "".join(f"{i % 5},{'ab'[i % 2]},{(i % 3) / 2}\n"
+                                             for i in range(30)))
+    schema.write_text(json.dumps({"context_columns": ["x"], "action_column": "arm",
+                                  "cost_column": "cost"}))
+    return str(data), str(schema)
+
+
+def manifest_radius(tmp, train):
+    data, schema = raw_log(tmp)
+    out = str(tmp / "r.csv")
+    return ["radius", "--data", data, "--config", schema, "--seed", "2", "--out", out], \
+        [data, schema], [out]
+
+
+def manifest_ope(tmp, train):
+    policy = json_file(tmp, {"probs": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]})
+    out, table = str(tmp / "ope.csv"), str(tmp / "table.csv")
+    return ["ope", "--data", train, "--epsilon-x", "0.1", "--epsilon-c", "0.1", "--policy",
+            policy, "--out", out, "--table-out", table], \
+        [train, f"{train}.meta.json", policy], [out, table]
+
+
+def manifest_opl_bsgd(tmp, train):
+    grouping = json_file(tmp, [0, 1, 1])
+    out, trace = str(tmp / "bsgd.csv"), str(tmp / "trace.csv")
+    return ["opl", "--data", train, "--algo", "bsgd", "--grouping", grouping, "--iterations",
+            "50", "--batch", "8", "--epsilon-x", "0.1", "--epsilon-c", "0.1", "--seed", "3",
+            "--out", out, "--trace-out", trace], \
+        [train, f"{train}.meta.json", grouping], [trace, out]
+
+
+def manifest_opl_grid(tmp, train):
+    data, schema = raw_log(tmp)
+    out = str(tmp / "grid.csv")
+    return ["opl", "--data", data, "--config", schema, "--algo", "grid", "--grouping", "single",
+            "--method", "regularized", "--eta", "5", "--resolution", "5", "--epsilon-x", "0.1",
+            "--epsilon-c", "0.1", "--out", out], [data, schema], [out]
+
+
+def manifest_compare(tmp, train):
+    spec = json_file(tmp, {"support_points": [[0.0], [1.0], [2.0], [4.0]],
+                           "values": [0.0, 0.5, 1.0, 3.0], "p_hat": [0.3, 0.3, 0.3, 0.1],
+                           "q": [0.25, 0.25, 0.25, 0.25]})
+    out = str(tmp / "cmp.csv")
+    return ["compare", "--spec", spec, "--out", out], [spec], [out]
+
+
+def manifest_rate(tmp, train):
+    out = str(tmp / "rate.csv")
+    return ["rate", "--contexts", "3", "--xi-size", "3", "--n-grid", "64,256", "--trials", "4",
+            "--seed", "5", "--out", out], [], [out]
+
+
+def manifest_synth(tmp, train):
+    spec = json_file(tmp, SYNTH_SPEC)
+    a, b = str(tmp / "a.csv"), str(tmp / "b.csv")
+    return ["synth", "--spec", spec, "--out-train", a, "--out-test", b, "--manifest-out",
+            str(tmp / "a.csv.manifest.json")], [spec], [a, f"{a}.meta.json", b, f"{b}.meta.json"]
+
+
+@pytest.mark.parametrize("case", [
+    manifest_distance, manifest_radius, manifest_ope, manifest_opl_bsgd, manifest_opl_grid,
+    manifest_compare, manifest_rate, manifest_synth,
+], ids=["distance", "radius-config", "ope", "opl-bsgd", "opl-grid", "compare-spec", "rate",
+        "synth"])
+def test_manifest_records_its_files_and_rerun_rewrites_them(tmp_path, canonical_data, case):
+    argv, inputs, outputs = case(tmp_path, str(canonical_data))
+    assert main(argv) == 0
+    manifest_path = (argv[argv.index("--manifest-out") + 1] if "--manifest-out" in argv
+                     else f"{argv[argv.index('--out') + 1]}.manifest.json")
+    manifest = json.loads(Path(manifest_path).read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["argv"] == argv
+    assert sorted(manifest["inputs"]) == sorted(inputs)
+    assert manifest["outputs"] == outputs
+    assert manifest["wall_clock_s"] >= 0.0
+    first = {path: Path(path).read_bytes() for path in outputs}
+    for path in outputs:
+        os.remove(path)
+    assert main(["rerun", manifest_path]) == 0
+    assert {path: Path(path).read_bytes() for path in outputs} == first
 
 
 def test_main_reuses_one_parser_and_reads_fresh_defaults(tmp_path, monkeypatch):

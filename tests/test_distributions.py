@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drobandit import (
+    DiscreteDistribution,
     SupportSet,
     empirical_distribution,
     kl_divergence,
@@ -45,6 +46,21 @@ def test_make_distribution_not_normalizable_without_pre_normalize():
 def test_make_distribution_small_drift_renormalized():
     d = make_distribution(S01, [0.5, 0.5 + 5e-10])
     assert abs(d.weights.sum() - 1.0) <= 1e-15
+
+
+def test_make_distribution_refuses_nan_weights():
+    with pytest.raises(NegativeWeight):
+        make_distribution(S01, [math.nan, math.nan])
+
+
+def test_distribution_refuses_nan_weights():
+    with pytest.raises(NegativeWeight):
+        DiscreteDistribution(S01, [math.nan, 0.5])
+
+
+def test_non_finite_total_is_not_normalizable():
+    with pytest.raises(NotNormalizable):
+        make_distribution(S01, [math.inf, 1.0], pre_normalize=True)
 
 
 def test_make_distribution_length_mismatch():

@@ -188,6 +188,16 @@ def test_policy_rows_within_1e9_are_renormalized():
         Policy(np.array([[1.2, -0.2]]))
 
 
+def test_nan_policy_probabilities_are_refused():
+    with pytest.raises(ValidationError):
+        Policy(np.array([[np.nan, 1.0], [0.5, 0.5]]))
+
+
+def test_nan_costs_are_refused():
+    with pytest.raises(ValidationError):
+        CostModel(SupportSet.from_scalars([0.0, 1.0]), np.array([[[0.0, np.nan]]]), y_max=1.0)
+
+
 def test_evaluate_all_zero_radii_is_plugin():
     rng = np.random.default_rng(9)
     dataset, cost_model = random_covered_dataset(rng)
