@@ -97,8 +97,8 @@ class Run:
         self.inputs.append(path)
         return path
 
-    def read_json(self, path):
-        return read_json(self.read(path))
+    def read_json(self, path, mapping=True):
+        return read_json(self.read(path), mapping)
 
     def write(self, path, header, rows=(), columns=None) -> None:
         """If `path` is set, write `rows` of values or formatted `columns` there as a CSV."""
@@ -247,7 +247,7 @@ def _parse_grouping(spec: str, n_contexts: int, run):
         return np.arange(n_contexts)
     if spec == "single":
         return np.zeros(n_contexts, dtype=np.int64)
-    return np.asarray(run.read_json(spec), dtype=np.int64)
+    return np.asarray(run.read_json(spec, mapping=False), dtype=np.int64)
 
 
 def cmd_opl(args, run) -> None:

@@ -470,13 +470,23 @@ def sidecar_path(path) -> str:
     return f"{path}.meta.json"
 
 
-def read_json(path):
-    """The JSON value in the file at `path`; malformed JSON raises :class:`UnparsableRow`."""
-    with open(path) as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise UnparsableRow(exc.lineno, f"{path} is not JSON: {exc.msg}") from exc
+def read_json(path, mapping: bool = True):
+    """The JSON value in the file at `path`, a JSON object unless `mapping` is
+    False. Bytes that are not UTF-8 and malformed JSON raise
+    :class:`UnparsableRow`, another value where an object is needed
+    :class:`SchemaMismatch`."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        value = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise UnparsableRow(line, f"{path} is not UTF-8 text: {exc.reason}") from None
+    except json.JSONDecodeError as exc:
+        raise UnparsableRow(exc.lineno, f"{path} is not JSON: {exc.msg}") from exc
+    if mapping and not isinstance(value, dict):
+        raise SchemaMismatch(f"{path} does not hold a JSON object")
+    return value
 
 
 def load_canonical(path) -> BanditDataset:

@@ -173,7 +173,8 @@ def make_distribution(support: SupportSet, weights, pre_normalize: bool = False)
         raise LengthMismatch(f"{w.size} weights for {len(support)} support points")
     if not np.all(w >= 0):  # NaN fails too
         raise NegativeWeight("weights must be non-negative")
-    total = float(w.sum())
+    with np.errstate(over="ignore"):  # an overflowing total is refused below
+        total = float(w.sum())
     if not 0 < total < np.inf:
         raise NotNormalizable(f"weights sum to {total!r}, not a positive finite total")
     if not pre_normalize and abs(total - 1.0) > WEIGHT_SUM_ATOL:

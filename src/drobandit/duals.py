@@ -114,7 +114,7 @@ def lse(values, eta: float) -> float:
     return top + math.log(float(np.mean(np.exp(eta * (v - top))))) / eta
 
 
-def convex_minimize(fn, hi, tol, max_iter: int = 400):
+def convex_minimize(fn, hi, tol, max_iter: int = 400, race=None):
     """Minimize P convex functions on [0, hi[p]] in lockstep, each to a certified gap.
 
     `fn(index, x)` returns (values, slopes, curvatures) of problems `index`
@@ -123,11 +123,23 @@ def convex_minimize(fn, hi, tol, max_iter: int = 400):
     problem keeps a bracket [a, b] with slope(a) < 0 < slope(b) and evaluates
     one point per step: the Newton point from its best iterate if the
     curvature there is positive and the point falls inside (a, b), otherwise
-    the crossing of the tangents at a and b. The point replaces the end whose
-    slope has its sign. A problem stops at 0 if slope(0) >= 0, at b once
-    slope(b) <= 0, and otherwise once its gap, min(best - tangent-model
+    the crossing of the tangents at a and b. If the best iterate is a > 0,
+    its curvature is positive and that point lies below sqrt(ab)/4, the step
+    goes to sqrt(ab) instead, bisecting in log x: a curvature that falls
+    away from 0 makes Newton under-step there. The point replaces the end
+    whose slope has its sign. A problem stops at 0 if slope(0) >= 0, at b
+    once slope(b) <= 0, and otherwise once its gap, min(best - tangent-model
     minimum, |slope(best)| * (b - a)), is at most its `tol` or rounding
     leaves no point inside (a, b). By convexity the gap bounds best - minimum.
+
+    `race`, an (incumbent, offsets) pair, makes the problems race for the
+    least minimum, compared in the units of value + offsets[p]. The
+    incumbent is the least of the value passed in and every value a problem
+    of the batch has reached. A problem stops too once its certified lower
+    bound, best - gap, is above the incumbent by more than its `tol`: its
+    minimum is then above the least final value, so it cannot be the
+    argmin, and it reports its best and gap so far, which still certify its
+    minimum. A problem that can win takes the same steps as without `race`.
 
     Returns per-problem (argmin, min, gap, number of evaluations). Raises
     :class:`NumericalError` if a problem is still open after `max_iter`
@@ -135,13 +147,19 @@ def convex_minimize(fn, hi, tol, max_iter: int = 400):
     bit, without the per-step array bookkeeping (:func:`_minimize_one`).
     """
     hi, tol = np.broadcast_arrays(*np.atleast_1d(np.asarray(hi, dtype=np.float64), tol))
+    if race is not None:
+        incumbent, offset = race
+        offset = np.broadcast_to(np.asarray(offset, dtype=np.float64), hi.shape)
     if len(hi) == 1:
-        x, f, gap, count = _minimize_one(fn, float(hi[0]), float(tol[0]), max_iter)
+        lone = None if race is None else (float(incumbent), float(offset[0]))
+        x, f, gap, count = _minimize_one(fn, float(hi[0]), float(tol[0]), max_iter, lone)
         return np.array([x]), np.array([f]), np.array([gap]), np.array([count], dtype=np.int64)
     best_x = np.zeros(len(hi))
     best_f, g0, h0 = fn(np.arange(len(hi)), best_x)
     best_f, gap = np.array(best_f, dtype=np.float64), np.zeros(len(hi))
     evals = np.ones(len(hi), dtype=np.int64)
+    if race is not None:
+        incumbent = min(incumbent, float((best_f + offset).min()))
     idx = np.flatnonzero((g0 < 0) & (hi > 0))  # the others stop at 0
     # each bracket end is one (4, P) array: point, value, slope, curvature
     lo = np.array((best_x, best_f, g0, h0))[:, idx]
@@ -149,16 +167,25 @@ def convex_minimize(fn, hi, tol, max_iter: int = 400):
     count = 2  # every open problem has made the same number of evaluations
     while idx.size:
         (a, fa, ga, _), (b, fb, gb, _) = lo, up
-        x, f, g, h = np.where(fa <= fb, lo, up)  # the best iterate is always an end
+        left = fa <= fb
+        x, f, g, h = np.where(left, lo, up)  # the best iterate is always an end
         width = b - a
         cross = np.divide(fa - fb + gb * width, gb - ga, out=np.zeros_like(ga), where=gb > 0)
         cross = a + np.clip(cross, 0.0, width)  # gb <= 0 stops at b, whatever the crossing
         cut = np.maximum(np.minimum(f - (fa + ga * (cross - a)), np.abs(g) * width), 0.0)
-        newton = (h > 0) & ((x - b) * h < g) & (g < (x - a) * h)  # x - g/h inside (a, b)
+        curved = h > 0
+        newton = curved & ((x - b) * h < g) & (g < (x - a) * h)  # x - g/h inside (a, b)
         newton = x - np.divide(g, h, out=np.zeros_like(g), where=newton)
         step = np.where((a < newton) & (newton < b), newton, cross)  # after rounding too
+        if curved.any():  # sqrt(ab) is 0 at a = 0, where no step lies below it
+            mid = np.sqrt(a * b)
+            step = np.where(curved & left & (step < mid / 4), mid, step)
         at_b = gb <= 0
         done = at_b | (cut <= tol[idx]) | ~((a < step) & (step < b))
+        if race is not None:
+            top = f + offset[idx]
+            incumbent = min(incumbent, float(top.min()))
+            done |= top - cut > incumbent + tol[idx]
         if done.any():
             stop = idx[done]
             evals[stop] = count
@@ -178,9 +205,11 @@ def convex_minimize(fn, hi, tol, max_iter: int = 400):
     return best_x, best_f, gap, evals
 
 
-def _minimize_one(fn, hi, tol, max_iter):
+def _minimize_one(fn, hi, tol, max_iter, race=None):
     """:func:`convex_minimize`'s loop on floats, as (argmin, min, gap, evaluations);
-    slope(b) <= 0 is tested first, as equal end slopes would divide by zero."""
+    slope(b) <= 0 is tested first, as equal end slopes would divide by zero.
+    `race` is (incumbent, offset); the problem's own values cannot stop it, so
+    the incumbent passed in is the only one it races."""
     def end(x):  # (point, value, slope, curvature)
         return (x, *(float(r[0]) for r in fn(np.arange(1), np.array([x]))))
 
@@ -199,7 +228,10 @@ def _minimize_one(fn, hi, tol, max_iter):
         step = x - g / h if h > 0 and (x - b) * h < g < (x - a) * h else x
         if not a < step < b:
             step = cross
-        if cut <= tol or not a < step < b:
+        if h > 0 and fa <= fb and step < math.sqrt(a * b) / 4:
+            step = math.sqrt(a * b)
+        raced = race is not None and f + race[1] - cut > race[0] + tol
+        if cut <= tol or not a < step < b or raced:
             return x, f, cut, count
         if count >= max_iter:
             raise NumericalError(f"convex minimization open after {count} evaluations")
@@ -450,7 +482,7 @@ def transport_objective(lam, weights, values, cost, epsilon, eta=None) -> float:
 
 
 def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
-                          eta=None) -> DualBatch:
+                          eta=None, race=None) -> DualBatch:
     """Transport-ball duals of P problems that share one cost matrix.
 
     Row p of `weights` (P, atoms) and `values` (P, candidates) is a problem;
@@ -461,7 +493,10 @@ def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
     at most `_BLOCK_CELLS` cells (per problem the matrix's size, or the
     GridCost's `stage_cells`), less their weightless atoms, run in lockstep in
     :func:`convex_minimize`, each problem to a certified gap of at most `tol`,
-    so callers pass any number of problems.
+    so callers pass any number of problems. A `race` value (math.inf will do)
+    makes them race for the least value, carrying the incumbent from block
+    to block: a problem that cannot win stops early, its value and gap still
+    certifying its minimum (see :func:`convex_minimize`).
 
     Every coupling costs at least reach = sum_i w_i min_j c(x_i, zeta_j), 0
     when every atom is a candidate; a radius below it raises
@@ -516,7 +551,10 @@ def solve_transport_duals(weights, values, cost_matrix, epsilon, tol=None,
                                     shifted[block], cost_matrix, epsilon, eta,
                                     len(values[block]))
         lam[block], value[block], gap[block], evals[block] = convex_minimize(
-            objective, hi[block], tol[block])
+            objective, hi[block], tol[block],
+            race=None if race is None else (race, shift[block]))
+        if race is not None:  # values race in their own units, not shifted
+            race = min(race, float((value[block] + shift[block]).min()))
     return DualBatch(lam, value + shift, evals.astype(np.int64), hi, gap)
 
 
@@ -527,14 +565,15 @@ def solve_transport_dual(weights, values, cost_matrix, epsilon, tol=None,
                                  epsilon, tol, eta).solution(0)
 
 
-def solve_kl_duals(weights, values, epsilon, tol=None) -> DualBatch:
+def solve_kl_duals(weights, values, epsilon, tol=None, race=None) -> DualBatch:
     """KL-ball duals of P problems: min over lam of eps*lam + lam*ln E[exp(f/lam)].
 
     Rows of `weights` and `values` are problems over atoms of positive weight.
     The objective is f_top (the observed max) at lam = 0 and, by Jensen, at
     least eps*lam + E[f], so lam* lies in [0, (f_top - E[f]) / eps]. The slope
     is eps - KL(tilted || nominal), eps + ln(weight on the top atoms) at 0,
-    and the curvature Var_tilted(f) / lam^3.
+    and the curvature Var_tilted(f) / lam^3. A `race` value makes the
+    problems race, as in :func:`solve_transport_duals`.
     """
     weights, values = np.asarray(weights, dtype=np.float64), np.asarray(values, dtype=np.float64)
     seen = weights > 0
@@ -561,7 +600,8 @@ def solve_kl_duals(weights, values, epsilon, tol=None) -> DualBatch:
                          slope_at_zero[index]),
                 np.where(positive, spread / scale, 0.0))  # Var(f)/lam^3 = Var(f/lam)/lam
 
-    lam, value, gap, evals = convex_minimize(objective, hi, tol)
+    lam, value, gap, evals = convex_minimize(objective, hi, tol,
+                                             race=None if race is None else (race, 0.0))
     return DualBatch(lam, value, evals, hi, gap)
 
 

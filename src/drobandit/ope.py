@@ -131,21 +131,27 @@ class RobustCostTable:
 def solve_shared_support(weights: np.ndarray, values: np.ndarray,
                          cost_matrix: np.ndarray | GridCost | None, epsilon: float,
                          method: str, eta: float | None = None,
-                         tol: float | None = None) -> DualSolution | DualBatch:
+                         tol: float | None = None, race: float | None = None
+                         ) -> DualSolution | DualBatch:
     """Dispatch to the chosen dual solver; atoms and candidates coincide.
-    1-d `weights` and `values` give a DualSolution, (P, n) arrays a DualBatch.
-    The KL method ignores `cost_matrix`, which may then be None. The
-    transport solvers check `eta`; here only its absence is refused for
-    "regularized", where None would mean the exact dual."""
+    1-d `weights` and `values` give a DualSolution, (P, n) arrays a DualBatch,
+    whose problems race for the least value given a `race` incumbent (see
+    :func:`~drobandit.duals.solve_transport_duals`). The KL method ignores
+    `cost_matrix`, which may then be None. The transport solvers check `eta`;
+    here only its absence is refused for "regularized", where None would mean
+    the exact dual."""
     batch = np.ndim(values) == 2
     if method == "regularized" and eta is None:
         raise NonPositiveEta("method 'regularized' needs a positive eta")
     if method in ("exact", "regularized"):
-        solve = solve_transport_duals if batch else solve_transport_dual
-        return solve(weights, values, cost_matrix, epsilon, tol,
-                     eta=eta if method == "regularized" else None)
+        eta = eta if method == "regularized" else None
+        if batch:
+            return solve_transport_duals(weights, values, cost_matrix, epsilon, tol, eta, race)
+        return solve_transport_dual(weights, values, cost_matrix, epsilon, tol, eta)
     if method == "kl":
-        return (solve_kl_duals if batch else solve_kl_dual)(weights, values, epsilon, tol)
+        if batch:
+            return solve_kl_duals(weights, values, epsilon, tol, race)
+        return solve_kl_dual(weights, values, epsilon, tol)
     raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
 
 

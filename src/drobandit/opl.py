@@ -392,9 +392,14 @@ def exact_opl(table: RobustCostTable, context_dist: DiscreteDistribution,
     chunks of max(1, `duals._BLOCK_CELLS` // N) points over N contexts, so no
     chunk's (points x N) costs exceed that many cells. Each chunk makes one
     batched dual call on the shared costs, which blocks its problems itself.
-    Ties keep the earliest grid point in `np.ndindex` order. Only parameter
-    dimensions up to three are accepted -- the grid is a certification tool,
-    not a scalable learner.
+    The grid points race (branch and bound's pruning rule; Land & Doig,
+    Econometrica 1960), the best value so far carried from chunk to chunk: a
+    point stops as soon as its certified lower bound is above that value by
+    more than its `tol`, so only the returned point is solved to `tol`. The
+    winner takes the same steps as without the race, so the result is the
+    same bit for bit. Ties keep the earliest grid point in `np.ndindex`
+    order. Only parameter dimensions up to three are accepted -- the grid is
+    a certification tool, not a scalable learner.
 
     Returns (best PolicyParams, best value).
     """
@@ -417,13 +422,14 @@ def exact_opl(table: RobustCostTable, context_dist: DiscreteDistribution,
     slots = _slots(grouping, n_actions)
     cmat = _shared_costs(context_dist.support.points, method)
     step = max(1, _BLOCK_CELLS // len(context_dist.support))
-    values = []
+    values, incumbent = [], math.inf
     for start in range(0, len(thetas), step):
         costs = _policy_costs(thetas[start : start + step], slots, table.m_hat,
                               parameterization)
         weights = np.broadcast_to(context_dist.weights, costs.shape)
         values.append(solve_shared_support(weights, costs, cmat, epsilon_x, method, eta,
-                                           tol).value)
+                                           tol, incumbent).value)
+        incumbent = min(incumbent, float(values[-1].min()))
     values = np.concatenate(values)
     best = int(np.argmin(values))
     return (

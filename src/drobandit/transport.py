@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .distributions import DiscreteDistribution, SupportSet, _as_points, unique_rows
 from .errors import (
@@ -162,6 +160,8 @@ def wasserstein_distance(p: DiscreteDistribution,
                                                   q.support.points[:, 0], q.weights)
         plan = TransportPlan(np.bincount(i * n + j, mass, m * n).reshape(m, n))
     else:
+        from scipy import sparse  # imported only where an LP runs, as in solve_max_lp
+
         cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(p.support.points, q.support.points)
         # row-sum then column-sum constraints on the row-major plan entries k;
         # one is redundant but HiGHS copes
@@ -202,6 +202,8 @@ def solve_max_lp(objective, eq_lhs, eq_rhs) -> tuple[float, np.ndarray]:
     vector). Raises :class:`NumericalError` on any solver failure (infeasible
     constraints, an unbounded objective, an iteration limit).
     """
+    from scipy.optimize import linprog
+
     res = linprog(-np.asarray(objective, dtype=np.float64), A_eq=eq_lhs, b_eq=eq_rhs,
                   bounds=(0, None), method="highs", options=_HIGHS_OPTIONS)
     if res.status != 0:

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -215,6 +217,12 @@ def json_file(tmp_path, obj=None):
     return str(path)
 
 
+def bytes_file(tmp_path, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    return str(path)
+
+
 def truncated_sidecar(tmp_path, train):
     Path(f"{train}.meta.json").write_text(TRUNCATED_JSON)
     return ["ope", "--data", train]
@@ -235,14 +243,34 @@ def truncated_sidecar(tmp_path, train):
     (lambda tmp, train: ["compare", "--spec", json_file(tmp, {
         "support_points": [[0.0], [1.0]], "p_hat": [0.5, 0.5], "q": [0.5, 0.5]})],
      "missing ['values']"),
+    (lambda tmp, train: ["rerun", json_file(tmp, [1, 2])], "not hold a JSON object"),
+    (lambda tmp, train: ["synth", "--spec", json_file(tmp, [1, 2]), "--out-train",
+                         str(tmp / "a.csv"), "--out-test", str(tmp / "b.csv")],
+     "not hold a JSON object"),
+    (lambda tmp, train: ["compare", "--spec", bytes_file(tmp, b"\xff\xfe")], "not UTF-8 text"),
 ], ids=["policy", "grouping", "config", "compare-spec", "synth-spec", "sidecar", "manifest",
-        "policy-without-probs", "compare-spec-without-values"])
+        "policy-without-probs", "compare-spec-without-values", "manifest-list",
+        "synth-spec-list", "compare-spec-not-utf8"])
 def test_malformed_json_input_exits_2(tmp_path, capsys, canonical_data, command, message):
     assert main(command(tmp_path, str(canonical_data))) == 2
     err = capsys.readouterr().err
     assert message in err
     if message == "not JSON":
         assert err.startswith("error: line 3: ")
+    if message == "not UTF-8 text":
+        assert err.startswith("error: line 1: ")
+
+
+def test_commands_without_an_lp_do_not_import_scipy(canonical_data):
+    # scipy's import is most of the package's; only the transport LP needs it
+    script = ("import sys\n"
+              "from drobandit.cli import main\n"
+              f"assert main(['ope', '--data', {str(canonical_data)!r}]) == 0\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("bad_row", ["-1,0,0,0.0", "0,-1,0,0.0"], ids=["context", "action"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,14 @@ def test_distribution_refuses_nan_weights():
 def test_non_finite_total_is_not_normalizable():
     with pytest.raises(NotNormalizable):
         make_distribution(S01, [math.inf, 1.0], pre_normalize=True)
+
+
+def test_overflowing_total_is_not_normalizable_without_a_warning():
+    # the raised error, not numpy's overflow warning, even with warnings as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotNormalizable):
+            make_distribution(S01, [1e308, 1e308], pre_normalize=True)
 
 
 def test_make_distribution_length_mismatch():

@@ -35,7 +35,7 @@ from drobandit.errors import (
 from drobandit.transport import GridCost, GroundCost, grid_levels
 
 from instances import random_dual_instance
-from oracles import rational_simplex_max
+from oracles import rational_simplex_max, transport_dual_reference
 
 S01 = SupportSet.from_scalars([0.0, 1.0])
 UNIFORM01 = make_distribution(S01, [0.5, 0.5])
@@ -243,6 +243,93 @@ def test_lone_solve_matches_its_batch_row_at_the_edge_exits(pieces, t, hi, tol, 
         hi_all, tol_all = [hi if f is edge else 3.0 for f in problems], [tol, tol, tol]
         assert_lone_solves_match_the_batch(problems, hi_all, tol_all, 400)
         assert_lone_solves_match_the_batch(problems, hi_all, tol_all, exit_evals - 1)
+
+
+# -- racing and the log-lambda step --------------------------------------------------
+
+def slope_bisection_minimum(objective, hi):
+    """Minimum over [0, hi] of a convex function given as lam -> (value, right
+    derivative), by bisection on the derivative's sign; every value returned
+    is a function value."""
+    lo = 0.0
+    if objective(lo)[1] < 0:
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if objective(mid)[1] >= 0 else (mid, hi)
+    return min(objective(lo)[0], objective(hi)[0])
+
+
+def kl_value_and_slope(weights, values, epsilon):
+    top = values.max()
+
+    def at(lam):  # eps*lam + lam*ln E[exp(f/lam)] and eps - KL(tilted || nominal)
+        if lam == 0:
+            return top, epsilon + math.log(weights[values == top].sum())
+        g = (values - top) / lam
+        tilted = weights * np.exp(g)
+        total = tilted.sum()
+        return (epsilon * lam + top + lam * math.log(total),
+                epsilon + math.log(total) - float(tilted @ g) / total)
+    return at
+
+
+@pytest.mark.parametrize("method", ["exact", "regularized", "kl"])
+def test_a_raced_batch_stops_only_problems_that_cannot_win(method):
+    # twelve problems on one support, each shifted by its own offset (some
+    # negative, so the transport solve shifts them apart); every problem the
+    # race stops early is certified above the winner, and its interval holds
+    # the minimum a bisection on the slope finds
+    rng = np.random.default_rng(83)
+    tol, epsilon, eta = 1e-9, 0.1, (5.0 if method == "regularized" else None)
+    stopped = 0
+    for _ in range(20):
+        points = rng.random((8, 2))
+        cmat = GroundCost.SQUARED_EUCLIDEAN.pairwise(points, points)
+        weights = np.tile(rng.dirichlet(np.ones(8)), (12, 1))
+        values = rng.random((12, 8)) + rng.normal(scale=0.3, size=(12, 1))
+        if method == "kl":
+            plain, raced = (duals.solve_kl_duals(weights, values, epsilon, tol, race)
+                            for race in (None, math.inf))
+        else:
+            plain, raced = (duals.solve_transport_duals(weights, values, cmat, epsilon, tol,
+                                                        eta, race) for race in (None, math.inf))
+        win = int(np.argmin(plain.value))
+        assert int(np.argmin(raced.value)) == win
+        early = raced.iterations < plain.iterations
+        for field in ("lambda_star", "value", "gap", "iterations"):
+            assert np.array_equal(getattr(raced, field)[~early], getattr(plain, field)[~early])
+        for p in np.flatnonzero(early):
+            assert raced.value[p] - raced.gap[p] > raced.value[win] + tol
+            if method == "kl":
+                objective = kl_value_and_slope(weights[p], values[p], epsilon)
+            else:
+                def objective(lam, p=p):
+                    value, (_, right), _ = transport_dual_reference(
+                        weights[p : p + 1], values[p : p + 1], cmat, np.array([lam]), epsilon,
+                        eta)
+                    return float(value[0]), float(right[0])
+            truth = slope_bisection_minimum(objective, float(raced.upper[p]))
+            assert raced.value[p] - raced.gap[p] - 1e-12 <= truth <= raced.value[p] + 1e-12
+        stopped += int(early.sum())
+    assert stopped >= 120  # of 240 problems
+
+
+def test_log_lambda_steps_cut_the_smoothed_grid_solve():
+    # a 15 x 13 x 3 grid of (age, blood pressure, consciousness) levels, a
+    # quarter of its cells unobserved, scored at the three clamp points of
+    # `opl --resolution 3`: the sizes of the grid optimisation benchmark. Newton
+    # steps alone took 17, 15 and 15 evaluations; the curvature, largest near
+    # lam = 0, makes them creep up from there
+    levels = (np.arange(20.0, 91.0, 5.0), np.arange(90.0, 271.0, 15.0), np.arange(3.0))
+    rng = np.random.default_rng(0)
+    weights = rng.random(585) * (rng.random(585) > 0.27)
+    weights /= weights.sum()
+    m_hat = np.where(rng.random((585, 2)) < 0.3, 4.0, 0.2)
+    for theta, newton_only in ((0.0, 17), (0.5, 15), (1.0, 15)):
+        costs = theta * m_hat[:, 0] + (1 - theta) * m_hat[:, 1]
+        sol = duals.solve_transport_dual(weights, costs, GridCost(levels), 20.0, eta=10.0)
+        assert sol.iterations <= newton_only - 3
+        assert 0.0 <= sol.gap <= 1e-9 * costs.max()
 
 
 # -- log-sum-exp -------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drobandit import (
     BsgdConfig,
@@ -28,7 +31,8 @@ from drobandit.data import canonical_rate_config, sample_dataset
 from drobandit.errors import DimensionTooLarge, InvalidConfig, UnknownContext
 from drobandit.ope import solve_shared_support
 from drobandit.opl import policy_costs_and_grads, project_theta
-from drobandit.transport import MAX_PAIRWISE_CELLS, GroundCost
+from drobandit.ope import _shared_costs
+from drobandit.transport import MAX_PAIRWISE_CELLS, GroundCost, grid_levels
 
 from oracles import transport_dual_reference
 
@@ -553,6 +557,83 @@ def test_exact_opl_chunk_size_changes_no_bit(monkeypatch, support, method):
                               method, eta, 9) for kind in (CLAMP, SOFTMAX)]
     for (params, value), (params_ref, value_ref) in zip(results, results[-2:] * 3):
         assert np.array_equal(params.theta, params_ref.theta) and value == value_ref
+
+
+def unraced_grid(table, context_dist, grouping, kind, epsilon_x, method, eta, resolution):
+    """exact_opl's chunks solved without the race: every grid point of a
+    chunk solved to tol in one batch, then the first least value."""
+    k = table.n_actions
+    dim = (int(grouping.max()) + 1) * (k - 1)
+    axis = np.linspace(0.0, 1.0, resolution) if kind is CLAMP else np.linspace(-5.0, 5.0,
+                                                                                resolution)
+    thetas = np.array([axis[list(multi)] for multi in np.ndindex(*[resolution] * dim)])
+    if kind is CLAMP:
+        thetas = thetas[thetas.reshape(len(thetas), -1, k - 1).sum(axis=2).max(axis=1)
+                        <= 1 + 1e-12]
+    cmat = _shared_costs(context_dist.support.points, method)
+    step = max(1, opl._BLOCK_CELLS // len(context_dist.support))
+    values = []
+    for start in range(0, len(thetas), step):
+        costs = np.array([policy_costs_and_grads(PolicyParams(theta, grouping, k, kind),
+                                                 table)[0]
+                          for theta in thetas[start : start + step]])
+        weights = np.broadcast_to(context_dist.weights, costs.shape)
+        values.append(solve_shared_support(weights, costs, cmat, epsilon_x, method,
+                                           eta).value)
+    values = np.concatenate(values)
+    best = int(np.argmin(values))
+    return thetas[best], float(values[best])
+
+
+# (actions, groups): 1 to 3 parameters
+SHAPES = st.sampled_from([(2, 1), (3, 1), (2, 2), (4, 1), (2, 3)])
+
+
+@st.composite
+def opl_instances(draw):
+    """A small support, a grid on two axes or a dense 1-d or 2-d cloud, its
+    weights with some zero, a robust table, flat for ties or not, and a grouping."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        levels = [np.sort(rng.choice(np.arange(6.0), size=draw(st.integers(2, 3)),
+                                     replace=False)) for _ in range(2)]
+        points = np.stack([g.ravel() for g in np.meshgrid(*levels, indexing="ij")], axis=1)
+        assert grid_levels(points) is not None
+    else:
+        points = rng.normal(size=(draw(st.integers(2, 8)), draw(st.integers(1, 2))))
+    n = len(points)
+    weights = rng.random(n) * (rng.random(n) < draw(st.sampled_from([0.5, 1.0])))
+    weights[rng.integers(n)] += 0.1  # some weight
+    k, groups = draw(SHAPES)
+    m_hat = np.full((n, k), 0.4) if draw(st.booleans()) else rng.random((n, k)) - 0.25
+    return (RobustCostTable(m_hat), make_distribution(SupportSet(points), weights,
+                                                       pre_normalize=True),
+            np.arange(n) % groups)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=opl_instances(),
+       kind=st.sampled_from([CLAMP, SOFTMAX]),
+       solver=st.sampled_from(["exact", "regularized", "kl"]),
+       eta=st.floats(0.5, 50.0),
+       epsilon_x=st.sampled_from([0.05, 0.3, 2.0]),
+       resolution=st.integers(2, 11),
+       cells=st.sampled_from([1, 40, 1 << 20]))
+def test_raced_grid_matches_the_unraced_chunks_bit_for_bit(instance, kind, solver, eta,
+                                                            epsilon_x, resolution, cells):
+    # chunks and dual blocks of one point, a few or all: the race then runs
+    # within a batch, across blocks and across chunks
+    table, context_dist, grouping = instance
+    dim = (int(grouping.max()) + 1) * (table.n_actions - 1)
+    resolution = min(resolution, 5) if dim == 3 else resolution  # up to 125 points
+    eta = eta if solver == "regularized" else None
+    args = (table, context_dist, grouping, kind, epsilon_x, solver, eta, resolution)
+    with mock.patch.object(opl, "_BLOCK_CELLS", cells), \
+            mock.patch.object(duals, "_BLOCK_CELLS", cells):
+        params, value = exact_opl(*args)
+        theta, ref = unraced_grid(*args)
+    assert np.array_equal(params.theta, theta)
+    assert value == ref
 
 
 def test_exact_opl_dimension_limit():
